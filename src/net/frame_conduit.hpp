@@ -18,7 +18,7 @@
 //             a scatter list without copying the frame into a contiguous
 //             staging buffer. Transports drain it writev-style via
 //             gather()/consume(); pending_bytes() is the send-buffer
-//             fullness that SocketServer maps the shard workers' blocking
+//             fullness that ServingCore maps the shard workers' blocking
 //             sink backpressure onto.
 //
 // Buffer reuse: buffers retired by consume() (transmitted prefixes and

@@ -3,7 +3,7 @@
 // 127.0.0.1, and a connection wrapper with scatter (writev) output.
 //
 // These are deliberately thin: ownership, routing, and backpressure policy
-// live in net::SocketServer / net::SocketClient; this file only hides the
+// live in net::ServingCore / net::SocketClient; this file only hides the
 // syscall boilerplate and normalizes errno handling (EAGAIN/EINTR are flow
 // control, everything else surfaces as std::system_error or a closed-
 // connection result). Linux-only, like the epoll API it wraps.

@@ -1,10 +1,6 @@
-// UringServer: the ShardedEngine served over loopback TCP by an io_uring
-// submission loop -- the C10K->C1M half of the transport tier.
-//
-// Same surface and same semantics as the epoll SocketServer (bind-before-
-// start, port(), stats(), sid -> connection reply routing, watermark
-// backpressure from the shard workers' blocking sinks, per-connection
-// error containment), different engine room:
+// UringServer: the io_uring I/O loop beneath the serving core
+// (net/serving_core.hpp, which owns routing, backpressure, ADMIN and the
+// counters) -- the C10K->C1M half of the transport tier.
 //
 //   accept    one multishot accept SQE produces a CQE per connection
 //             instead of one epoll wakeup + accept4 syscall each.
@@ -20,12 +16,17 @@
 //             safe and still batches all connections into one submit.
 //   wakeup    shard workers nudge the serving thread via IORING_OP_MSG_RING
 //             on a shared sender ring (a CQE, no eventfd round trip), or
-//             an eventfd read SQE where MSG_RING is unavailable. Both are
-//             coalesced to one wakeup per drain cycle.
+//             an eventfd read SQE where MSG_RING is unavailable.
 //   close     io_uring ops hold a reference to the file, so close() alone
 //             neither cancels them nor closes the socket. Teardown is
 //             shutdown(SHUT_RDWR) -> pending ops error out -> the conn is
 //             erased once its last in-flight op completes.
+//   fallback  kernels without multishot accept, multishot recv or buffer
+//             selection degrade per feature to one-shot accept and
+//             single-shot recv into per-connection buffers.
+//
+// The only steady-state syscall is io_uring_enter (counted as
+// syscalls_wait), plus one wakeup syscall per coalesced wakeup.
 //
 // Every caller that wants "best available server" should use AnyServer
 // (bottom of this header): it instantiates UringServer when the build has
@@ -47,51 +48,59 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <stdexcept>
-#include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "net/frame_conduit.hpp"
+#include "net/serving_core.hpp"
 #include "net/tcp.hpp"
 #include "sync/sharded.hpp"
 
 namespace ribltx::net {
 
+namespace detail {
+
+struct UringConn : ServingConn {
+  using ServingConn::ServingConn;
+  static constexpr std::size_t kSendIov = 32;
+
+  // Serving thread only.
+  bool recv_armed = false;
+  bool send_armed = false;
+  std::vector<std::byte> recv_buf;  ///< single-shot recv fallback only
+  // Stable storage for the in-flight sendmsg (the kernel may import the
+  // iovec after submission on the async path).
+  msghdr msg{};
+  iovec iov[kSendIov]{};
+};
+
+}  // namespace detail
+
 template <Symbol T, typename Hasher = SipHasher<T>>
-class UringServer {
+class UringServer : public ServingCore<UringServer<T, Hasher>,
+                                       detail::UringConn, T, Hasher> {
+  using Core =
+      ServingCore<UringServer<T, Hasher>, detail::UringConn, T, Hasher>;
+  using Conn = detail::UringConn;
+  friend Core;
+
  public:
   /// Binds the listener immediately (port() valid before start()) and
   /// creates the ring, so construction throws -- rather than start()
   /// failing later -- when io_uring is unusable. Gate on uring_available().
   explicit UringServer(sync::ShardedEngine<T, Hasher>& engine,
                        SocketServerOptions options = {})
-      : engine_(engine), options_(options), listener_(options.port) {
-    if (options_.low_watermark >= options_.high_watermark) {
-      throw std::invalid_argument("UringServer: watermarks out of order");
-    }
+      : Core(engine, options, "uring") {
     // Deep CQ: multishot accept/recv complete many times per SQE, and an
     // overflowed CQ stalls the whole ring.
     ring_ = std::make_unique<Uring>(kSqEntries, kCqEntries);
-    use_buf_ring_ = options_.uring_buffer_ring &&
+    use_buf_ring_ = options.uring_buffer_ring &&
                     ring_->setup_buf_ring(kBufGroup, kBufRingEntries,
                                           kRecvBufSize);
-    use_msg_ring_ = options_.uring_msg_ring && uring_caps().msg_ring;
-    if (options_.metrics != nullptr) {
-      obs_conduit_depth_ = &options_.metrics->histogram(
-          "riblt_server_conduit_pending_bytes",
-          "Bytes queued in a connection's conduit after a flush",
-          {{"server", "uring"}});
-    }
+    use_msg_ring_ = options.uring_msg_ring && uring_caps().msg_ring;
     if (use_msg_ring_) {
       // Tiny sender ring shared by all sink threads (mutex-guarded): its
       // only job is posting wakeup CQEs onto the serving ring.
@@ -99,14 +108,7 @@ class UringServer {
     }
   }
 
-  ~UringServer() { stop(); }
-
-  UringServer(const UringServer&) = delete;
-  UringServer& operator=(const UringServer&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const noexcept {
-    return listener_.port();
-  }
+  ~UringServer() { this->stop(); }
 
   /// True when recv goes through the provided-buffer ring (false = the
   /// single-shot fallback; exposed for tests).
@@ -115,71 +117,12 @@ class UringServer {
   }
   [[nodiscard]] bool using_msg_ring() const noexcept { return use_msg_ring_; }
 
-  void start() {
-    if (running_) throw std::logic_error("UringServer: already started");
-    stopping_.store(false, std::memory_order_release);
-    engine_.start([this](std::vector<std::byte> frame) {
-      sink(std::move(frame));
-    });
-    serve_thread_ = std::thread([this] { serve_loop(); });
-    running_ = true;
-  }
-
-  void stop() {
-    if (!running_) return;
-    stopping_.store(true, std::memory_order_release);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        // Same lost-wakeup guard as the epoll server: park-in-progress
-        // sinks must be fully inside the wait before the notify.
-        { const std::lock_guard<std::mutex> conn_lk(conn->mu); }
-        conn->cv.notify_all();
-      }
-    }
-    engine_.stop();
-    wake();
-    if (serve_thread_.joinable()) serve_thread_.join();
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.clear();
-      routes_.clear();
-    }
-    {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      dirty_.clear();
-    }
-    running_ = false;
-  }
-
-  [[nodiscard]] bool running() const noexcept { return running_; }
-
-  [[nodiscard]] SocketServerStats stats() const {
-    SocketServerStats out;
-    out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-    out.connections_closed = closed_.load(std::memory_order_relaxed);
-    out.frames_in = frames_in_.load(std::memory_order_relaxed);
-    out.frames_out = frames_out_.load(std::memory_order_relaxed);
-    out.frames_dropped = dropped_.load(std::memory_order_relaxed);
-    out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-    // The uring data path's only steady-state syscall is io_uring_enter.
-    out.syscalls_wait = ring_ ? ring_->enter_calls() : 0;
-    out.sqe_submits = ring_ ? ring_->sqes_submitted() : 0;
-    out.wakeups = wakeups_.load(std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      out.routes = routes_.size();
-    }
-    return out;
-  }
-
  private:
   static constexpr unsigned kSqEntries = 1024;
   static constexpr unsigned kCqEntries = 8192;
   static constexpr std::uint16_t kBufGroup = 1;
   static constexpr unsigned kBufRingEntries = 256;
   static constexpr std::size_t kRecvBufSize = 32u << 10;
-  static constexpr std::size_t kSendIov = 32;
   static constexpr std::size_t kReapBatch = 256;
 
   // user_data: low 8 bits op kind, high 56 bits connection key.
@@ -203,111 +146,14 @@ class UringServer {
     return ud >> 8;
   }
 
-  struct Conn {
-    Conn(int fd, std::uint64_t key_, std::size_t max_frame)
-        : io(fd), key(key_), conduit(max_frame) {}
-
-    TcpConn io;
-    const std::uint64_t key;
-    FrameConduit conduit;  ///< serving thread only, both directions
-
-    std::mutex mu;  ///< guards staged/staged_bytes (sink <-> serving thread)
-    std::condition_variable cv;
-    std::deque<std::vector<std::byte>> staged;
-    std::size_t staged_bytes = 0;
-    std::atomic<std::size_t> conduit_pending{0};
-    std::atomic<bool> dead{false};
-    std::atomic<bool> dirty{false};
-    /// A sink timed out on this connection's backpressure; the serving
-    /// thread begins the close at the next drain cycle (only it owns the
-    /// op/fd lifecycle).
-    std::atomic<bool> doomed{false};
-
-    // io_uring state, serving thread only.
-    bool recv_armed = false;
-    bool send_armed = false;
-    bool closing = false;
-    std::vector<std::byte> recv_buf;  ///< single-shot recv fallback only
-    // Stable storage for the in-flight sendmsg (the kernel may import the
-    // iovec after submission on the async path).
-    msghdr msg{};
-    iovec iov[kSendIov]{};
-  };
-
-  // ------------------------------------------------------ worker-side sink
-
-  /// Identical contract to SocketServer::sink: blocks the shard worker on
-  /// the destination connection's watermark, stages the frame, nudges the
-  /// serving thread (coalesced to one wakeup per drain cycle).
-  void sink(std::vector<std::byte> frame) {
-    std::uint64_t sid = 0;
-    try {
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    std::shared_ptr<Conn> conn;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto it = routes_.find(sid);
-      if (it != routes_.end()) conn = it->second;
-    }
-    if (!conn) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    {
-      std::unique_lock<std::mutex> lk(conn->mu);
-      const auto drained = [&] {
-        return stopping_.load(std::memory_order_acquire) ||
-               conn->dead.load(std::memory_order_acquire) ||
-               conn->staged_bytes +
-                       conn->conduit_pending.load(std::memory_order_acquire) <
-                   options_.high_watermark;
-      };
-      bool woke = true;
-      if (options_.sink_timeout_s > 0) {
-        woke = conn->cv.wait_for(
-            lk, std::chrono::duration<double>(options_.sink_timeout_s),
-            drained);
-      } else {
-        conn->cv.wait(lk, drained);
-      }
-      if (!woke) {
-        // Stalled peer (above the watermark for the whole timeout): doom
-        // the connection so the serving thread closes it, and release this
-        // worker back to the shard's other sessions.
-        lk.unlock();
-        conn->doomed.store(true, std::memory_order_release);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        mark_dirty(conn);
-        if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) wake();
-        return;
-      }
-      if (stopping_.load(std::memory_order_acquire) ||
-          conn->dead.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      conn->staged_bytes += frame.size();
-      conn->staged.push_back(std::move(frame));
-    }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    mark_dirty(conn);
-    if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) wake();
-  }
-
-  void mark_dirty(const std::shared_ptr<Conn>& conn) {
-    if (!conn->dirty.exchange(true, std::memory_order_acq_rel)) {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      dirty_.push_back(conn);
-    }
+  /// The close began (dead is written only by this thread).
+  [[nodiscard]] static bool closing(const Conn& conn) noexcept {
+    return conn.dead.load(std::memory_order_relaxed);
   }
 
   /// Nudges the serving thread out of submit_and_wait. MSG_RING posts a
   /// CQE straight onto the serving ring; the fallback writes the eventfd a
-  /// persistent read SQE is parked on. Either way: one syscall, counted.
+  /// persistent read SQE is parked on. Either way: one syscall.
   void wake() {
     if (use_msg_ring_) {
       const std::lock_guard<std::mutex> lk(sender_mu_);
@@ -323,27 +169,27 @@ class UringServer {
     } else {
       wakeup_.signal();
     }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  void loop_stats(SocketServerStats& out) const {
+    out.syscalls_wait = ring_ ? ring_->enter_calls() : 0;
+    out.sqe_submits = ring_ ? ring_->sqes_submitted() : 0;
   }
 
   // -------------------------------------------------------- serving thread
 
-  void serve_loop() {
+  void run() {
     arm_accept();
     arm_timeout();
     if (!use_msg_ring_) arm_wakeup_read();
     Uring::Cqe cqes[kReapBatch];
-    while (!stopping_.load(std::memory_order_acquire)) {
+    while (!this->stopping()) {
       (void)ring_->submit_and_wait(1);
       std::size_t n;
       while ((n = ring_->reap(cqes)) != 0) {
         for (std::size_t i = 0; i < n; ++i) on_cqe(cqes[i]);
       }
-      // Clear-then-drain, same ordering argument as the epoll loop: a sink
-      // staging after the clear wakes us again; one staging before it is
-      // drained right here.
-      wake_pending_.store(false, std::memory_order_release);
-      drain_dirty();
+      this->drain_cycle();
     }
     teardown_drain();
   }
@@ -397,21 +243,12 @@ class UringServer {
     const int fd = cqe.res;
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    set_send_buffer(fd, options_.send_buffer);
-    const std::uint64_t key = next_conn_key_++;
-    auto conn = std::make_shared<Conn>(fd, key, options_.max_frame);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.emplace(key, conn);
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    arm_recv(*conn);
+    arm_recv(*this->adopt(fd));
     if (!multishot_accept_ && !cqe.more()) arm_accept();
   }
 
   void on_recv(const Uring::Cqe& cqe) {
-    const std::uint64_t key = ud_key(cqe.user_data);
-    const std::shared_ptr<Conn> conn = conn_of(key);
+    const std::shared_ptr<Conn> conn = this->conn_of(ud_key(cqe.user_data));
     const bool rearmed = cqe.more();
     if (!rearmed && conn) conn->recv_armed = false;
     if (!rearmed) inflight_--;
@@ -419,7 +256,7 @@ class UringServer {
       if (cqe.has_buffer()) ring_->recycle_buffer(cqe.buffer_id());
       return;
     }
-    if (conn->closing) {
+    if (closing(*conn)) {
       if (cqe.has_buffer()) ring_->recycle_buffer(cqe.buffer_id());
       maybe_finish_close(conn);
       return;
@@ -439,68 +276,50 @@ class UringServer {
     }
     if (cqe.res <= 0) {
       if (cqe.has_buffer()) ring_->recycle_buffer(cqe.buffer_id());
-      begin_close(conn);
-      maybe_finish_close(conn);
+      close_conn(conn);
       return;
     }
     const auto nbytes = static_cast<std::size_t>(cqe.res);
-    std::span<const std::byte> data;
-    std::uint16_t bid = 0;
-    if (cqe.has_buffer()) {
-      bid = cqe.buffer_id();
-      data = ring_->buffer(bid).first(nbytes);
-    } else {
-      data = std::span<const std::byte>(conn->recv_buf.data(), nbytes);
-    }
     bool alive = true;
-    try {
-      conn->conduit.feed(data);
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      begin_close(conn);
-      alive = false;
+    if (cqe.has_buffer()) {
+      const std::uint16_t bid = cqe.buffer_id();
+      alive = this->ingest(conn, ring_->buffer(bid).first(nbytes));
+      ring_->recycle_buffer(bid);
+    } else {
+      alive = this->ingest(
+          conn, std::span<const std::byte>(conn->recv_buf.data(), nbytes));
     }
-    if (cqe.has_buffer()) ring_->recycle_buffer(bid);
-    if (alive) {
-      while (auto frame = conn->conduit.next_frame()) {
-        if (!route_inbound(conn, std::move(*frame))) {
-          alive = false;
-          break;
-        }
-      }
-    }
-    if (!alive) {
-      maybe_finish_close(conn);
-      return;
-    }
-    if (!conn->recv_armed) arm_recv(*conn);
+    if (alive && !conn->recv_armed) arm_recv(*conn);
   }
 
   void on_send(const Uring::Cqe& cqe) {
     inflight_--;
-    const std::shared_ptr<Conn> conn = conn_of(ud_key(cqe.user_data));
+    const std::shared_ptr<Conn> conn = this->conn_of(ud_key(cqe.user_data));
     if (!conn) return;
     conn->send_armed = false;
-    if (conn->closing) {
+    if (closing(*conn)) {
       maybe_finish_close(conn);
       return;
     }
     if (cqe.res < 0) {
-      begin_close(conn);
-      maybe_finish_close(conn);
+      close_conn(conn);
       return;
     }
     conn->conduit.consume(static_cast<std::size_t>(cqe.res));
-    after_drain(*conn);
+    flush(conn);
+  }
+
+  void flush(const std::shared_ptr<Conn>& conn) {
+    this->after_flush(*conn);
     arm_send(*conn);
   }
 
   // ------------------------------------------------------------ arm helpers
 
   void arm_accept() {
-    if (accept_armed_ || stopping_.load(std::memory_order_acquire)) return;
+    if (accept_armed_ || this->stopping()) return;
     io_uring_sqe* sqe = ring_->get_sqe();
-    Uring::prep_accept(*sqe, listener_.fd(), multishot_accept_,
+    Uring::prep_accept(*sqe, this->listener_.fd(), multishot_accept_,
                        make_ud(kUdAccept));
     accept_armed_ = true;
     inflight_++;
@@ -508,7 +327,7 @@ class UringServer {
 
   void arm_timeout() {
     if (timeout_armed_) return;
-    tick_ts_ = {0, 200 * 1000 * 1000};  // 200ms, matches the epoll tick
+    tick_ts_ = {0, 200 * 1000 * 1000};  // the 200ms stop-flag tick
     io_uring_sqe* sqe = ring_->get_sqe();
     Uring::prep_timeout(*sqe, &tick_ts_, make_ud(kUdTimeout));
     timeout_armed_ = true;
@@ -525,7 +344,7 @@ class UringServer {
   }
 
   void arm_recv(Conn& conn) {
-    if (conn.recv_armed || conn.closing) return;
+    if (conn.recv_armed || closing(conn)) return;
     io_uring_sqe* sqe = ring_->get_sqe();
     if (use_buf_ring_) {
       Uring::prep_recv_multishot(*sqe, conn.io.fd(), kBufGroup,
@@ -543,8 +362,10 @@ class UringServer {
   /// conduit's current scatter head (see the header comment for why not a
   /// linked chain). Iovec/msghdr live in the Conn, stable until the CQE.
   void arm_send(Conn& conn) {
-    if (conn.send_armed || conn.closing || !conn.conduit.has_output()) return;
-    std::span<const std::byte> chunks[kSendIov];
+    if (conn.send_armed || closing(conn) || !conn.conduit.has_output()) {
+      return;
+    }
+    std::span<const std::byte> chunks[Conn::kSendIov];
     const std::size_t n = conn.conduit.gather(chunks);
     if (n == 0) return;
     for (std::size_t i = 0; i < n; ++i) {
@@ -562,202 +383,25 @@ class UringServer {
     inflight_++;
   }
 
-  // ------------------------------------------------------- routing / drain
-
-  [[nodiscard]] std::shared_ptr<Conn> conn_of(std::uint64_t key) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = conns_.find(key);
-    return it == conns_.end() ? nullptr : it->second;
-  }
-
-  /// Same routing contract as SocketServer::route_inbound (route-first for
-  /// the HELLO_ACK race, hijack rejection, ERROR-reply containment, DONE/
-  /// ERROR route drop). Returns false when the connection began closing.
-  bool route_inbound(const std::shared_ptr<Conn>& conn,
-                     std::vector<std::byte> frame) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t sid = 0;
-    try {
-      sid = sync::v2::peek_session_id(frame);
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      begin_close(conn);
-      return false;
-    }
-    const auto type = static_cast<std::uint8_t>(frame[0]);
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kAdmin)) {
-      // Same transport-level interception as SocketServer::route_inbound:
-      // answered on the serving thread, never routed, never submitted.
-      handle_admin(conn, sid, frame);
-      return true;
-    }
-    bool inserted_route = false;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto [it, inserted] = routes_.emplace(sid, conn);
-      if (!inserted && it->second.get() != conn.get()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        stage_local(conn, sync::v2::make_error_frame(
-                              sid, "session belongs to another connection"));
-        return true;
-      }
-      inserted_route = inserted;
-    }
-    try {
-      engine_.submit(std::move(frame));
-    } catch (const sync::ProtocolError& e) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (inserted_route) drop_route_if_self(sid, *conn);
-      stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
-      return true;
-    }
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kDone) ||
-        type == static_cast<std::uint8_t>(sync::v2::FrameType::kError)) {
-      drop_route_if_self(sid, *conn);
-    }
-    return true;
-  }
-
-  void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) routes_.erase(it);
-  }
-
-  /// Snapshot composition and ADMIN answering, mirroring SocketServer
-  /// (see the comments there); only the server label differs.
-  [[nodiscard]] obs::MetricsSnapshot compose_snapshot() const {
-    obs::MetricsSnapshot snap = options_.metrics->snapshot();
-    append_server_stats(snap, stats(), {{"server", "uring"}});
-    sync::append_engine_totals(snap, engine_.stats().totals);
-    return snap;
-  }
-
-  void handle_admin(const std::shared_ptr<Conn>& conn, std::uint64_t sid,
-                    std::span<const std::byte> raw) {
-    std::string verb;
-    try {
-      const sync::v2::Frame frame = sync::v2::parse_frame(raw);
-      verb = sync::v2::error_text(frame);  // payload bytes as text
-    } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      stage_local(conn, sync::v2::make_error_frame(sid, "malformed ADMIN"));
-      return;
-    }
-    std::string body;
-    if ((verb == "METRICS" || verb == "METRICS_JSON") &&
-        options_.metrics != nullptr) {
-      const obs::MetricsSnapshot snap = compose_snapshot();
-      body = verb == "METRICS" ? obs::prometheus_text(snap)
-                               : obs::json_text(snap);
-    } else if (verb == "TRACE" && options_.tracer != nullptr) {
-      body = options_.tracer->chrome_json();
-    } else {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      stage_local(conn, sync::v2::make_error_frame(
-                            sid, "unsupported ADMIN verb: " + verb));
-      return;
-    }
-    for (auto& reply : sync::v2::make_admin_reply(sid, body)) {
-      stage_local(conn, std::move(reply));
-    }
-  }
-
-  void stage_local(const std::shared_ptr<Conn>& conn,
-                   std::vector<std::byte> frame) {
-    {
-      const std::lock_guard<std::mutex> lk(conn->mu);
-      conn->staged_bytes += frame.size();
-      conn->staged.push_back(std::move(frame));
-    }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    mark_dirty(conn);
-  }
-
-  void drain_dirty() {
-    std::vector<std::shared_ptr<Conn>> batch;
-    {
-      const std::lock_guard<std::mutex> lk(dirty_mu_);
-      batch.swap(dirty_);
-    }
-    for (auto& conn : batch) {
-      conn->dirty.store(false, std::memory_order_release);
-      if (conn->closing) continue;
-      if (conn->doomed.load(std::memory_order_acquire)) {
-        begin_close(conn);  // sink timed out: stalled peer
-        maybe_finish_close(conn);
-        continue;
-      }
-      {
-        const std::lock_guard<std::mutex> lk(conn->mu);
-        for (auto& frame : conn->staged) conn->conduit.send(std::move(frame));
-        conn->staged.clear();
-        conn->staged_bytes = 0;
-      }
-      after_drain(*conn);
-      arm_send(*conn);
-    }
-  }
-
-  /// Post-drain bookkeeping shared by send completions and staging:
-  /// refresh the sink-visible pending mirror and release backpressured
-  /// workers once below the low watermark.
-  void after_drain(Conn& conn) {
-    const std::size_t pending = conn.conduit.pending_bytes();
-    conn.conduit_pending.store(pending, std::memory_order_release);
-    if (obs_conduit_depth_ != nullptr) obs_conduit_depth_->record(pending);
-    if (pending < options_.low_watermark) {
-      { const std::lock_guard<std::mutex> lk(conn.mu); }
-      conn.cv.notify_all();
-    }
-  }
-
   // ------------------------------------------------------------ close path
 
-  /// First half of closing: stop the session (routes dropped, engine
-  /// aborted, sinks released, socket shutdown so in-flight ops error out).
-  /// The Conn stays in conns_ until its last op completes -- the kernel
-  /// still owns references into its buffers.
-  void begin_close(const std::shared_ptr<Conn>& conn) {
-    if (conn->closing) return;
-    conn->closing = true;
-    {
-      const std::lock_guard<std::mutex> lk(conn->mu);
-      conn->dead.store(true, std::memory_order_release);
-    }
-    conn->io.shutdown_both();
-    conn->cv.notify_all();
-    std::vector<std::uint64_t> orphaned;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto it = routes_.begin(); it != routes_.end();) {
-        if (it->second.get() == conn.get()) {
-          orphaned.push_back(it->first);
-          it = routes_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    // Abort the engine side of orphaned sessions (same rationale and same
-    // synthetic in-band ERROR as SocketServer::close_conn).
-    for (const std::uint64_t sid : orphaned) {
-      try {
-        engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
-      } catch (const sync::ProtocolError&) {
-      }
-    }
+  /// Two-phase close. The core's half drops routes, aborts sessions and
+  /// releases sinks; the socket is shut down so in-flight ops error out,
+  /// and the Conn stays in the table until its last op completes -- the
+  /// kernel still owns references into its buffers.
+  void close_conn(const std::shared_ptr<Conn>& conn) {
+    if (this->begin_close(*conn)) conn->io.shutdown_both();
+    maybe_finish_close(conn);
   }
 
   /// Second half: once no op references the conn, close the fd and erase.
   void maybe_finish_close(const std::shared_ptr<Conn>& conn) {
-    if (!conn->closing || conn->recv_armed || conn->send_armed) return;
-    conn->io.close();
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      conns_.erase(conn->key);
+    if (!closing(*conn) || conn->recv_armed || conn->send_armed ||
+        !conn->io.open()) {
+      return;
     }
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    conn->io.close();
+    this->finish_close(conn->key);
   }
 
   // -------------------------------------------------------------- teardown
@@ -765,11 +409,9 @@ class UringServer {
   /// Cancels everything in flight and reaps until the kernel has released
   /// every op (it may hold references into conn buffers until then; the
   /// iteration cap only guards against a kernel that ignores CANCEL_ANY).
+  /// Connections still open afterwards are settled by the core's stop().
   void teardown_drain() {
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      for (auto& [key, conn] : conns_) conn->io.shutdown_both();
-    }
+    this->for_each_conn([](Conn& conn) { conn.io.shutdown_both(); });
     io_uring_sqe* sqe = ring_->get_sqe();
     Uring::prep_cancel_all(*sqe, make_ud(kUdCancel));
     inflight_++;
@@ -791,18 +433,6 @@ class UringServer {
           for (std::size_t i = 0; i < n; ++i) teardown_cqe(cqes[i]);
         }
       }
-    }
-    // Every accepted conn must eventually count as closed (the epoll
-    // server's invariant): conns whose terminal CQEs landed only during
-    // teardown never went through maybe_finish_close, so settle them here.
-    std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> leftover;
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      leftover.swap(conns_);
-    }
-    for (auto& [key, conn] : leftover) {
-      conn->io.close();
-      closed_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -835,7 +465,7 @@ class UringServer {
         if (cqe.has_buffer()) ring_->recycle_buffer(cqe.buffer_id());
         if (!cqe.more()) {
           inflight_--;
-          if (auto conn = conn_of(ud_key(cqe.user_data))) {
+          if (auto conn = this->conn_of(ud_key(cqe.user_data))) {
             conn->recv_armed = false;
           }
         }
@@ -843,16 +473,13 @@ class UringServer {
       }
       case kUdSend:
         inflight_--;
-        if (auto conn = conn_of(ud_key(cqe.user_data))) {
+        if (auto conn = this->conn_of(ud_key(cqe.user_data))) {
           conn->send_armed = false;
         }
         break;
     }
   }
 
-  sync::ShardedEngine<T, Hasher>& engine_;
-  SocketServerOptions options_;
-  TcpListener listener_;
   std::unique_ptr<Uring> ring_;         ///< serving thread (after start)
   std::unique_ptr<Uring> sender_ring_;  ///< sink threads, sender_mu_-guarded
   std::mutex sender_mu_;
@@ -863,33 +490,11 @@ class UringServer {
   bool use_msg_ring_ = false;
   bool multishot_accept_ = true;
 
-  mutable std::mutex conns_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> routes_;  ///< sid->
-  std::uint64_t next_conn_key_ = 1;  ///< serving thread only
-
-  std::mutex dirty_mu_;
-  std::vector<std::shared_ptr<Conn>> dirty_;
-  std::atomic<bool> wake_pending_{false};
-
   // Serving thread only: armed-op accounting for teardown.
   std::size_t inflight_ = 0;
   bool accept_armed_ = false;
   bool timeout_armed_ = false;
   bool wakeup_read_armed_ = false;
-
-  std::thread serve_thread_;
-  std::atomic<bool> stopping_{false};
-  bool running_ = false;
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  obs::Histogram* obs_conduit_depth_ = nullptr;  ///< null = untapped
 };
 
 }  // namespace ribltx::net
@@ -914,7 +519,7 @@ enum class ServerBackend : std::uint8_t { kEpoll, kUring };
 
 /// "Best available server": UringServer when the build has io_uring support
 /// AND the runtime probe passes, else the epoll SocketServer -- one type
-/// callers can hold without caring which engine room they got.
+/// callers can hold without caring which loop they got.
 template <Symbol T, typename Hasher = SipHasher<T>>
 class AnyServer {
  public:
@@ -922,67 +527,42 @@ class AnyServer {
   explicit AnyServer(sync::ShardedEngine<T, Hasher>& engine,
                      SocketServerOptions options = {},
                      bool allow_uring = true) {
-#if defined(RIBLT_HAS_IO_URING)
     if (allow_uring && uring_available()) {
       uring_.emplace(engine, options);
       backend_ = ServerBackend::kUring;
-      return;
+    } else {
+      epoll_.emplace(engine, options);
     }
-#else
-    (void)allow_uring;
-#endif
-    epoll_.emplace(engine, options);
-    backend_ = ServerBackend::kEpoll;
   }
 
   [[nodiscard]] ServerBackend backend() const noexcept { return backend_; }
 
   [[nodiscard]] std::uint16_t port() const noexcept {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) return uring_->port();
-#endif
-    return epoll_->port();
+    return visit(*this, [](const auto& s) { return s.port(); });
   }
-
   void start() {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) {
-      uring_->start();
-      return;
-    }
-#endif
-    epoll_->start();
+    visit(*this, [](auto& s) { s.start(); });
   }
-
   void stop() {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) {
-      uring_->stop();
-      return;
-    }
-#endif
-    epoll_->stop();
+    visit(*this, [](auto& s) { s.stop(); });
   }
-
   [[nodiscard]] bool running() const noexcept {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) return uring_->running();
-#endif
-    return epoll_->running();
+    return visit(*this, [](const auto& s) { return s.running(); });
   }
-
   [[nodiscard]] SocketServerStats stats() const {
-#if defined(RIBLT_HAS_IO_URING)
-    if (uring_) return uring_->stats();
-#endif
-    return epoll_->stats();
+    return visit(*this, [](const auto& s) { return s.stats(); });
   }
 
  private:
+  template <typename Self, typename Fn>
+  static decltype(auto) visit(Self& self, Fn&& fn) {
+    return self.uring_ ? fn(*self.uring_) : fn(*self.epoll_);
+  }
+
+  // In an epoll-only build UringServer is SocketServer and uring_ simply
+  // never engages (uring_available() is always false there).
   std::optional<SocketServer<T, Hasher>> epoll_;
-#if defined(RIBLT_HAS_IO_URING)
   std::optional<UringServer<T, Hasher>> uring_;
-#endif
   ServerBackend backend_ = ServerBackend::kEpoll;
 };
 

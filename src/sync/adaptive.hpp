@@ -28,7 +28,7 @@
 //      renews the runway with empty ROUND "credit" frames. This bounds a
 //      session's overshoot past its useful prefix to the cap, so one slow
 //      peer multiplexed on a fat connection cannot eat the shared
-//      SocketServer watermark, and a lossy SimConduit link is never asked
+//      server watermark, and a lossy SimConduit link is never asked
 //      to carry a window full of symbols the peer already decoded past.
 #pragma once
 

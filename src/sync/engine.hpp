@@ -24,12 +24,12 @@
 //   ADMIN     c->s  0x17 | uvarint sid | uvarint len | utf-8 verb
 //   ADMIN_RE  s->c  0x18 | uvarint sid | u8 final | uvarint len | chunk
 //
-// ADMIN is transport-level, not session-level: the servers
-// (net/socket_server.hpp, net/uring_server.hpp) and the Replica daemon
-// intercept it before engine submission and reply with the observability
-// snapshot the verb names ("METRICS" = Prometheus text, "METRICS_JSON" =
-// JSON, "TRACE" = chrome://tracing JSON), chunked into ADMIN_REPLY
-// frames whose `final` byte marks the last chunk. The engine itself
+// ADMIN is transport-level, not session-level: the socket servers
+// (net/serving_core.hpp) and the Replica daemon intercept it before
+// engine submission and answer through v2::answer_admin with the
+// observability snapshot the verb names ("METRICS" = Prometheus text,
+// "METRICS_JSON" = JSON, "TRACE" = chrome://tracing JSON), chunked into
+// ADMIN_REPLY frames whose `final` byte marks the last chunk. The engine itself
 // rejects ADMIN frames with a contained ProtocolError, so an admin verb
 // aimed at a transport that predates the verb fails cleanly in-band.
 //
@@ -75,6 +75,7 @@
 #include "core/sketch.hpp"
 #include "core/symbol.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "sync/adaptive.hpp"
 #include "sync/error.hpp"
@@ -220,6 +221,39 @@ struct Frame {
     out.push_back(encode_frame(frame));
   } while (off < body.size());
   return out;
+}
+
+/// The one ADMIN responder, shared by every endpoint that takes in-band
+/// scrapes (the socket servers and the Replica). "METRICS" and
+/// "METRICS_JSON" render the registry snapshot after `compose(snapshot)`
+/// appended the endpoint's own thin views; "TRACE" renders the tracer.
+/// Returns the chunked ADMIN_REPLY frames and false -- or, for a malformed
+/// frame, an unknown verb, or a verb whose tap is null, a single ERROR
+/// frame and true.
+template <typename Compose>
+[[nodiscard]] std::pair<std::vector<std::vector<std::byte>>, bool>
+answer_admin(std::uint64_t session_id, std::span<const std::byte> raw,
+             obs::MetricsRegistry* metrics, obs::Tracer* tracer,
+             Compose&& compose) {
+  std::string verb;
+  try {
+    verb = error_text(parse_frame(raw));  // payload bytes as text
+  } catch (const ProtocolError&) {
+    return {{make_error_frame(session_id, "malformed ADMIN")}, true};
+  }
+  std::string body;
+  if ((verb == "METRICS" || verb == "METRICS_JSON") && metrics != nullptr) {
+    obs::MetricsSnapshot snap = metrics->snapshot();
+    compose(snap);
+    body = verb == "METRICS" ? obs::prometheus_text(snap)
+                             : obs::json_text(snap);
+  } else if (verb == "TRACE" && tracer != nullptr) {
+    body = tracer->chrome_json();
+  } else {
+    return {{make_error_frame(session_id, "unsupported ADMIN verb: " + verb)},
+            true};
+  }
+  return {make_admin_reply(session_id, body), false};
 }
 
 }  // namespace v2

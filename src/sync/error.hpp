@@ -1,5 +1,5 @@
-// ProtocolError: the one exception type every sync-layer component (v1
-// streaming protocol, Reconciler backends, v2 SyncEngine framing) throws on
+// ProtocolError: the one exception type every sync-layer component
+// (Reconciler backends, v2 SyncEngine framing, the net transport) throws on
 // malformed, out-of-order, or mis-negotiated input. Carrying a specific
 // message is part of the contract: tests assert on the text, and operators
 // triage peer failures from it.

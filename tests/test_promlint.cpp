@@ -1,7 +1,8 @@
 // Prometheus exposition-format lint (src/obs/prom.hpp) plus the live
 // scrape path: both servers answering METRICS / METRICS_JSON / TRACE over
 // an in-band ADMIN frame from a second connection while real sessions
-// load the first -- the acceptance criterion for the observability PR.
+// load the first, and the ADMIN responder's verb table (answers, ERRORs,
+// protocol_errors) driven against both servers and the Replica.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -197,6 +198,7 @@ TEST(PromLint, LiveScrapeEpollMidLoad) {
 }
 
 TEST(PromLint, LiveScrapeUringMidLoad) {
+  if (!testing::uring_or_skip("LiveScrapeUringMidLoad")) return;
 #if defined(RIBLT_HAS_IO_URING)
   live_scrape_roundtrip<UringServer<Item8>>("uring");
 #else
@@ -204,14 +206,130 @@ TEST(PromLint, LiveScrapeUringMidLoad) {
 #endif
 }
 
-TEST(PromLint, ScrapeWithoutTapsGetsError) {
+// ------------------------------------------------ ADMIN responder table
+
+/// One ADMIN request and what the endpoint must do with it: answer with
+/// chunked ADMIN_REPLY frames, or send back exactly one ERROR frame.
+struct AdminCase {
+  const char* what;
+  std::vector<std::byte> frame;
+  bool answered;
+};
+
+/// The verb table, sid-tagged from 1. `tapped` says whether the endpoint
+/// has its metrics and tracer taps set; without them every known verb is
+/// an error too.
+std::vector<AdminCase> admin_cases(bool tapped) {
+  std::vector<AdminCase> cases;
+  std::uint64_t sid = 0;
+  for (const char* verb : {"METRICS", "METRICS_JSON", "TRACE"}) {
+    cases.push_back({verb, sync::v2::make_admin_frame(++sid, verb), tapped});
+  }
+  cases.push_back(
+      {"unknown verb", sync::v2::make_admin_frame(++sid, "NO_SUCH_VERB"),
+       false});
+  // A routable prefix (type + sid) whose payload length claims 16 bytes
+  // that never arrive: parse_frame rejects it.
+  cases.push_back({"malformed ADMIN",
+                   {std::byte{0x17}, static_cast<std::byte>(++sid),
+                    std::byte{0x10}},
+                   false});
+  return cases;
+}
+
+/// Checks one case's replies: all tagged with the request's sid, and
+/// either a chunked reply stream ending in the final flag or one ERROR.
+void check_admin_replies(const AdminCase& c, std::uint64_t sid,
+                         const std::vector<sync::v2::Frame>& replies) {
+  ASSERT_FALSE(replies.empty()) << c.what;
+  for (const auto& r : replies) ASSERT_EQ(r.session_id, sid) << c.what;
+  if (!c.answered) {
+    ASSERT_EQ(replies.size(), 1u) << c.what;
+    ASSERT_EQ(replies[0].type, sync::v2::FrameType::kError) << c.what;
+    return;
+  }
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_EQ(replies[i].type, sync::v2::FrameType::kAdminReply) << c.what;
+    ASSERT_EQ(replies[i].value != 0, i + 1 == replies.size()) << c.what;
+  }
+}
+
+/// Drives the table against `Server` over one connection. The replies to
+/// each request are read up to their terminator (an ERROR or the final
+/// ADMIN_REPLY); a stray extra frame would carry the previous case's sid
+/// into the next case's replies, and a silent wait closes the table.
+template <typename Server>
+void admin_table_over_socket(bool tapped) {
+  obs::MetricsRegistry reg;
+  obs::Tracer tracer;
   sync::ShardedEngine<Item8> engine(1);
-  SocketServer<Item8> server(engine);  // no metrics/tracer taps
+  SocketServerOptions options;
+  if (tapped) {
+    options.metrics = &reg;
+    options.tracer = &tracer;
+  }
+  Server server(engine, options);
   server.start();
   SocketClient sock(server.port());
-  ASSERT_THROW((void)scrape(sock, "METRICS"), sync::ProtocolError);
-  ASSERT_THROW((void)scrape(sock, "TRACE"), sync::ProtocolError);
+  const std::vector<AdminCase> cases = admin_cases(tapped);
+  std::uint64_t errors = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    sock.send_frame(cases[i].frame);
+    std::vector<sync::v2::Frame> replies;
+    for (;;) {
+      auto raw = sock.recv_frame(/*timeout_s=*/20.0);
+      ASSERT_TRUE(raw.has_value()) << cases[i].what << " tapped=" << tapped;
+      replies.push_back(sync::v2::parse_frame(*raw));
+      const sync::v2::Frame& f = replies.back();
+      if (f.type == sync::v2::FrameType::kError || f.value != 0) break;
+    }
+    check_admin_replies(cases[i], i + 1, replies);
+    if (!cases[i].answered) ++errors;
+  }
+  ASSERT_FALSE(sock.recv_frame(/*timeout_s=*/0.2).has_value());
   server.stop();
+  ASSERT_EQ(server.stats().protocol_errors, errors);
+}
+
+TEST(AdminResponder, EpollServerAnswersTheVerbTable) {
+  admin_table_over_socket<SocketServer<Item8>>(/*tapped=*/true);
+  admin_table_over_socket<SocketServer<Item8>>(/*tapped=*/false);
+}
+
+TEST(AdminResponder, UringServerAnswersTheVerbTable) {
+  if (!testing::uring_or_skip("UringServerAnswersTheVerbTable")) return;
+  admin_table_over_socket<UringServer<Item8>>(/*tapped=*/true);
+  admin_table_over_socket<UringServer<Item8>>(/*tapped=*/false);
+}
+
+TEST(AdminResponder, ReplicaAnswersTheVerbTable) {
+  for (const bool tapped : {true, false}) {
+    obs::MetricsRegistry reg;
+    obs::Tracer tracer;
+    sync::ReplicaOptions options;
+    options.replica_id = 1;
+    options.jitter = 0;
+    if (tapped) {
+      options.engine.metrics = &reg;
+      options.engine.tracer = &tracer;
+    }
+    sync::Replica<Item32> replica(options);
+    std::vector<std::vector<std::byte>> outbox;
+    replica.add_peer(2, [&outbox](std::vector<std::byte> f) {
+      outbox.push_back(std::move(f));
+      return true;
+    });
+    const std::vector<AdminCase> cases = admin_cases(tapped);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      outbox.clear();
+      replica.deliver(2, cases[i].frame, 0.1 * static_cast<double>(i));
+      std::vector<sync::v2::Frame> replies;
+      for (const auto& raw : outbox) {
+        replies.push_back(sync::v2::parse_frame(raw));
+      }
+      check_admin_replies(cases[i], i + 1, replies);
+    }
+  }
 }
 
 // -------------------------------------------------- replica admin tap

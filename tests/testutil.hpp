@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/symbol.hpp"
+#include "net/uring.hpp"
 
 // Terse aliases for tests written in CHECK/REQUIRE style: CHECK* failures
 // are recorded and the test continues; REQUIRE* failures abort the
@@ -112,6 +114,25 @@ template <Symbol T>
     out.insert(symbol_key(s));
   }
   return out;
+}
+
+/// Gate for tests of the io_uring server: true when it can run. Such a
+/// test self-skips (early return, not failure) when the build has io_uring
+/// but the kernel or seccomp profile rules the ring out; the in-tree
+/// framework has no skip verdict, so this prints the reason and the test
+/// passes vacuously. In an epoll-only build (RIBLT_ENABLE_URING=OFF or no
+/// UAPI header) UringServer aliases SocketServer, so the test runs as an
+/// extra epoll pass instead of skipping.
+inline bool uring_or_skip(const char* test) {
+#if defined(RIBLT_HAS_IO_URING)
+  if (net::uring_available()) return true;
+  std::printf("  [skip] %s: io_uring unavailable (%s)\n", test,
+              net::uring_caps().reason);
+  return false;
+#else
+  (void)test;
+  return true;
+#endif
 }
 
 }  // namespace ribltx::testing
