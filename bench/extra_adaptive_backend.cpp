@@ -18,6 +18,7 @@
 // with symbols the client never needed, at every d.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,12 +122,14 @@ SessionOutcome run_session(sync::SyncEngine<U64Symbol>& engine,
   return out;
 }
 
-sync::SyncEngine<U64Symbol> make_engine(const Sets& s, double loss) {
+std::unique_ptr<sync::SyncEngine<U64Symbol>> make_engine(const Sets& s,
+                                                         double loss) {
   sync::EngineOptions options;
   options.link = sync::adaptive::LinkProfile::lossy(loss);
-  sync::SyncEngine<U64Symbol> engine({}, options);
-  for (const auto& x : s.both) engine.add_item(x);
-  for (const auto& x : s.only_a) engine.add_item(x);
+  auto engine = std::make_unique<sync::SyncEngine<U64Symbol>>(
+      SipHasher<U64Symbol>{}, options);
+  for (const auto& x : s.both) engine->add_item(x);
+  for (const auto& x : s.only_a) engine->add_item(x);
   return engine;
 }
 
@@ -181,7 +184,7 @@ int main(int argc, char** argv) {
         }
         auto engine = make_engine(sets, loss);
         auto client = make_client(sets, 1, backend);
-        const auto r = run_session(engine, client, 1, loss, seed + 7);
+        const auto r = run_session(*engine, client, 1, loss, seed + 7);
         if (!r.ok) {
           std::printf("%-7zu %-6.2f %-12s FAILED\n", d, loss,
                       sync::backend_name(backend));
@@ -216,7 +219,7 @@ int main(int argc, char** argv) {
       for (std::size_t s = 1; s <= warm; ++s) {
         auto client = make_client(sets, s, BackendId::kRiblt);
         client.set_adaptive(peer, /*send_probe=*/s == 1);
-        last = run_session(engine, client, s, loss, seed + 100 + s);
+        last = run_session(*engine, client, s, loss, seed + 100 + s);
         adaptive_ok = adaptive_ok && last.ok;
         if (s == 1) first_contact = last.bytes_down + last.bytes_up;
       }

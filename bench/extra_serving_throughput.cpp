@@ -12,6 +12,8 @@
 //
 // Also reports cache churn cost (O(log m) per item) while sessions are
 // open, since that is the operation that replaces full re-encodes.
+#include <time.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -49,39 +51,46 @@ struct ModeResult {
 /// very first session triggers the one-time lazy materialization of the
 /// cache prefix; that is warm-up (a server pays it once per lifetime, not
 /// per peer), so it is folded into build_s and the steady-state per-session
-/// cost is what hello_us reports. With `reg`/`tracer` set the engine runs
-/// fully instrumented (registry cells + session tracer) -- the attached
-/// half of the observability-overhead gate below.
-ModeResult run_shared(std::size_t n, std::size_t sessions,
-                      std::uint64_t seed,
-                      obs::MetricsRegistry* reg = nullptr,
-                      obs::Tracer* tracer = nullptr) {
-  ModeResult out;
+/// cost is what hello_us reports.
+using Engine = sync::SyncEngine<U64Symbol>;
+
+/// An engine holding `n` random items with the cache prefix warmed by one
+/// session (opened and closed), ready for `sessions` more.
+std::unique_ptr<Engine> make_warm_engine(std::size_t n, std::size_t sessions,
+                                         std::uint64_t seed,
+                                         obs::MetricsRegistry* reg,
+                                         obs::Tracer* tracer) {
   sync::EngineOptions options;
   options.max_sessions = sessions + 16;
   options.metrics = reg;
   options.tracer = tracer;
-  sync::SyncEngine<U64Symbol> engine({}, options);
-  bench::Timer build;
+  auto engine = std::make_unique<Engine>(SipHasher<U64Symbol>{}, options);
   SplitMix64 rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
-    engine.add_item(U64Symbol::random(rng.next()));
+    engine->add_item(U64Symbol::random(rng.next()));
   }
-  {
-    const std::uint64_t warm_sid = sessions + 1;
-    (void)engine.handle_frame(make_hello(warm_sid));
-    if (!engine.next_frame(warm_sid)) std::abort();
-    (void)engine.close_session(warm_sid);
-  }
+  const std::uint64_t warm_sid = sessions + 1;
+  (void)engine->handle_frame(make_hello(warm_sid));
+  if (!engine->next_frame(warm_sid)) std::abort();
+  (void)engine->close_session(warm_sid);
+  return engine;
+}
+
+/// Opens session `sid` and serves its first frame.
+void open_session(Engine& engine, std::uint64_t sid) {
+  (void)engine.handle_frame(make_hello(sid));
+  if (!engine.next_frame(sid)) std::abort();  // rateless: always symbols
+}
+
+ModeResult run_shared(std::size_t n, std::size_t sessions,
+                      std::uint64_t seed) {
+  ModeResult out;
+  bench::Timer build;
+  const auto engine = make_warm_engine(n, sessions, seed, nullptr, nullptr);
   out.build_s = build.elapsed();
 
   bench::Timer serve;
-  for (std::size_t s = 0; s < sessions; ++s) {
-    const std::uint64_t sid = s + 1;
-    (void)engine.handle_frame(make_hello(sid));
-    const auto frame = engine.next_frame(sid);
-    if (!frame) std::abort();  // rateless sessions always have symbols
-  }
+  for (std::size_t s = 0; s < sessions; ++s) open_session(*engine, s + 1);
   const double total = serve.elapsed();
   out.hello_us = total / static_cast<double>(sessions) * 1e6;
   out.sessions_per_s = static_cast<double>(sessions) / total;
@@ -152,27 +161,59 @@ obs::MetricsRegistry& obs_registry() {
 }
 
 struct OverheadResult {
-  double detached_per_s = 0;    ///< detached sessions/s of the median pair
-  double attached_per_s = 0;    ///< attached sessions/s of the median pair
-  double overhead_pct = 0;      ///< median over paired trials (reported)
-  double overhead_min_pct = 0;  ///< min over paired trials (gated)
+  double detached_per_s = 0;  ///< detached sessions per CPU-second (median)
+  double attached_per_s = 0;  ///< attached sessions per CPU-second (median)
+  double overhead_pct = 0;    ///< median over paired trials (gated)
+  double upper90_pct = 0;     ///< bootstrap 90% upper bound on the median
 };
+
+/// CPU seconds this thread has run (not the slices the host gave others).
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One-sided 90% upper confidence bound on the median of `xs`: the 90th
+/// percentile of the medians of 2000 seeded resamples with replacement.
+double bootstrap_median_upper90(const std::vector<double>& xs,
+                                std::uint64_t seed) {
+  constexpr int kResamples = 2000;
+  SplitMix64 rng(seed);
+  std::vector<double> medians;
+  medians.reserve(kResamples);
+  std::vector<double> draw(xs.size());
+  for (int b = 0; b < kResamples; ++b) {
+    for (double& x : draw) x = xs[rng.next() % xs.size()];
+    const auto mid =
+        draw.begin() + static_cast<std::ptrdiff_t>(draw.size() / 2);
+    std::nth_element(draw.begin(), mid, draw.end());
+    medians.push_back(*mid);
+  }
+  std::sort(medians.begin(), medians.end());
+  return medians[static_cast<std::size_t>(0.9 * (kResamples - 1))];
+}
 
 /// Observability-overhead gate: the same serving loop with the registry
 /// and tracer attached vs detached (null taps -- one untaken branch per
-/// site). Each trial runs the pair back-to-back (alternating order so
-/// neither side systematically inherits a warm cache or a noisy
-/// scheduler slice) and yields one paired overhead sample. Noise only
-/// ever inflates the apparent overhead -- the instrumented build cannot
-/// be faster than its own uninstrumented loop -- so the minimum across
-/// trials is the least-contaminated estimate, and that is what the
-/// <= 2% acceptance bar judges. The median pair is what gets reported
-/// (the min can swing far negative on a loaded machine, which would be
-/// a misleading headline number). The attached runs record into `reg`,
-/// which the caller reads for the snapshot-path quantile report.
+/// histogram or trace site; the lifetime cells are always on, so both
+/// halves pay for them). Each trial builds a detached and an attached
+/// engine side by side and opens the sessions on them in alternating
+/// blocks of kBlock, timing every block in thread CPU time: a busy host
+/// slows both halves of a trial alike instead of whichever ran during
+/// the disturbance, and preemption is not counted at all. Each trial
+/// yields one paired overhead sample; the <= 2% acceptance bar judges
+/// their MEDIAN. (An earlier version timed whole back-to-back runs in
+/// wall time and gated the minimum, which swung to -9% and below on a
+/// loaded machine and so could not see a real 2-5% regression.) The
+/// bootstrap 90% upper bound on the median is printed beside it. The
+/// attached engines record into `reg`, which the caller reads for the
+/// snapshot-path quantile report.
 OverheadResult measure_obs_overhead(std::size_t n, std::size_t sessions,
                                     int trials, std::uint64_t seed,
                                     obs::MetricsRegistry& reg) {
+  constexpr std::size_t kBlock = 256;
   struct Pair {
     double detached = 0, attached = 0, pct = 0;
   };
@@ -180,28 +221,36 @@ OverheadResult measure_obs_overhead(std::size_t n, std::size_t sessions,
   pairs.reserve(static_cast<std::size_t>(trials));
   obs::Tracer tracer;
   for (int t = 0; t < trials; ++t) {
-    ModeResult detached, attached;
-    if ((t & 1) == 0) {
-      detached = run_shared(n, sessions, seed);
-      attached = run_shared(n, sessions, seed, &reg, &tracer);
-    } else {
-      attached = run_shared(n, sessions, seed, &reg, &tracer);
-      detached = run_shared(n, sessions, seed);
+    auto detached = make_warm_engine(n, sessions, seed, nullptr, nullptr);
+    auto attached = make_warm_engine(n, sessions, seed, &reg, &tracer);
+    double cpu[2] = {0, 0};  // [detached, attached]
+    for (std::size_t lo = 0, b = 0; lo < sessions; lo += kBlock, ++b) {
+      const std::size_t hi = std::min(sessions, lo + kBlock);
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t side = (b + k) & 1;  // alternate who goes first
+        Engine& engine = side == 0 ? *detached : *attached;
+        const double c0 = thread_cpu_s();
+        for (std::size_t s = lo; s < hi; ++s) open_session(engine, s + 1);
+        cpu[side] += thread_cpu_s() - c0;
+      }
     }
     Pair p;
-    p.detached = detached.sessions_per_s;
-    p.attached = attached.sessions_per_s;
+    p.detached = static_cast<double>(sessions) / cpu[0];
+    p.attached = static_cast<double>(sessions) / cpu[1];
     p.pct = (p.detached - p.attached) / p.detached * 100.0;
     pairs.push_back(p);
   }
   std::sort(pairs.begin(), pairs.end(),
             [](const Pair& a, const Pair& b) { return a.pct < b.pct; });
   const Pair& median = pairs[pairs.size() / 2];
+  std::vector<double> pcts;
+  pcts.reserve(pairs.size());
+  for (const Pair& p : pairs) pcts.push_back(p.pct);
   OverheadResult out;
   out.detached_per_s = median.detached;
   out.attached_per_s = median.attached;
   out.overhead_pct = median.pct;
-  out.overhead_min_pct = pairs.front().pct;
+  out.upper90_pct = bootstrap_median_upper90(pcts, seed ^ 0xb007);
   return out;
 }
 
@@ -268,19 +317,21 @@ int main(int argc, char** argv) {
     if (speedup < 1.0) ok = false;
   }
 
-  // Observability overhead gate (ISSUE 10 acceptance): attaching the
-  // metrics registry + tracer to the hot serving loop must cost <= 2%
-  // sessions/s vs detached. Enough sessions that each timed run is tens
-  // of milliseconds (steady_clock noise << 1%), min over paired trials.
-  const std::size_t ovh_sessions =
-      opts.pick<std::size_t>(12000, 16000, 16000);
+  // Observability overhead gate: attaching the metrics registry + tracer
+  // to the hot serving loop must cost <= 2% sessions per CPU-second vs
+  // detached, judged on the median of the paired trials. The attached
+  // cost measures ~1.2% at smoke scale and one trial's delta scatters by
+  // ~2%, so the median needs ~60 trials (~5 s) for its own noise to sit
+  // well inside the bound -- every scale runs the same count.
+  const std::size_t ovh_sessions = 8000;
   const auto ovh = measure_obs_overhead(sizes.front(), ovh_sessions,
-                                        /*trials=*/9, opts.seed + 17,
+                                        /*trials=*/61, opts.seed + 17,
                                         obs_registry());
-  std::printf("# obs overhead: detached %.0f/s attached %.0f/s (median "
-              "%.2f%%, min %.2f%%, gate 2%% on min)\n",
+  std::printf("# obs overhead: detached %.0f/cpu-s attached %.0f/cpu-s "
+              "(median %.2f%%, bootstrap 90%% upper bound %.2f%%, gate 2%% "
+              "on median)\n",
               ovh.detached_per_s, ovh.attached_per_s, ovh.overhead_pct,
-              ovh.overhead_min_pct);
+              ovh.upper90_pct);
   const obs::MetricsSnapshot snap = obs_registry().snapshot();
   auto& ovh_row = report.row()
                       .str("mode", "obs_overhead")
@@ -288,17 +339,19 @@ int main(int argc, char** argv) {
                       .num("sessions", ovh_sessions)
                       .num("sessions_per_s", ovh.attached_per_s)
                       .num("sessions_per_s_detached", ovh.detached_per_s)
-                      .num("obs_overhead_pct", ovh.overhead_pct);
+                      .num("obs_overhead_pct", ovh.overhead_pct)
+                      .num("obs_overhead_upper90_pct", ovh.upper90_pct);
   // Quantiles read off the registry snapshot -- the same path the live
   // METRICS scrape renders -- instead of a private sample vector.
   if (const auto* cpu = snap.find_series("riblt_serve_cpu_us",
                                          {{"backend", "riblt"}})) {
     ovh_row.hist("serve_cpu_us", cpu->hist);
   }
-  if (ovh.overhead_min_pct > 2.0) {
+  if (ovh.overhead_pct > 2.0) {
     std::fprintf(stderr,
-                 "serving: observability overhead %.2f%% exceeds 2%% gate\n",
-                 ovh.overhead_min_pct);
+                 "serving: observability overhead %.2f%% (median) exceeds "
+                 "2%% gate\n",
+                 ovh.overhead_pct);
     ok = false;
   }
   return ok ? 0 : 1;

@@ -260,7 +260,7 @@ class SequenceCache {
       const std::uint64_t v =
           reserved_.fetch_add(1, std::memory_order_seq_cst);
       lane.journal.push_back(LaneOp{v, s, dir});
-      journal_entries_.fetch_add(1, std::memory_order_relaxed);
+      journal_depth_.add(1);
     } else {
       reserved_.fetch_add(1, std::memory_order_seq_cst);
     }
@@ -323,15 +323,19 @@ class SequenceCache {
 
   // -------------------------------------------------------- observability
 
-  /// Attaches registry handles (any may be null). The pointers are stored
-  /// relaxed-atomic so binding can happen after writer threads are already
-  /// churning: a writer that misses the store simply skips one record.
-  /// The referenced cells must outlive the cache's last writer.
-  void bind_metrics(obs::Histogram* gate_wait_us, obs::Histogram* compact_us,
-                    obs::Counter* compactions) noexcept {
+  /// Attaches registry histograms (either may be null). The pointers are
+  /// stored relaxed-atomic so binding can happen after writer threads are
+  /// already churning: a writer that misses the store simply skips one
+  /// record. The referenced cells must outlive the cache's last writer.
+  void bind_metrics(obs::Histogram* gate_wait_us,
+                    obs::Histogram* compact_us) noexcept {
     obs_gate_wait_us_.store(gate_wait_us, std::memory_order_relaxed);
     obs_compact_us_.store(compact_us, std::memory_order_relaxed);
-    obs_compactions_.store(compactions, std::memory_order_relaxed);
+  }
+
+  /// Coding-window compactions run so far (the cell, for exporting it).
+  [[nodiscard]] const obs::Counter& compactions() const noexcept {
+    return compactions_;
   }
 
   // ------------------------------------------------------------ cell reads
@@ -438,13 +442,18 @@ class SequenceCache {
       }
     }
     if (erased != 0) {
-      journal_entries_.fetch_sub(erased, std::memory_order_relaxed);
+      journal_depth_.add(-static_cast<std::int64_t>(erased));
     }
   }
 
   /// Entries retained across all lane journals.
   [[nodiscard]] std::size_t journal_size() const noexcept {
-    return journal_entries_.load(std::memory_order_relaxed);
+    return static_cast<std::size_t>(journal_depth_.load());
+  }
+
+  /// The entry counter itself, for exporting it (MetricsRegistry::link).
+  [[nodiscard]] const obs::Gauge& journal_depth() const noexcept {
+    return journal_depth_;
   }
 
   [[nodiscard]] std::size_t live_cursor_count() const noexcept {
@@ -602,7 +611,7 @@ class SequenceCache {
             lane.pruned += lane.journal.size();
             lane.journal.clear();
           }
-          cache_->journal_entries_.store(0, std::memory_order_relaxed);
+          cache_->journal_depth_.set(0);
         }
       }
       cache_.reset();
@@ -752,7 +761,7 @@ class SequenceCache {
     // pointer; one that sees the old size reads old indices, valid in
     // either array.
     cells_.store(grown.get(), std::memory_order_release);
-    retired_.push_back(std::move(grown));
+    arrays_.push_back(std::move(grown));
     cells_size_.store(target, std::memory_order_release);
   }
 
@@ -844,29 +853,26 @@ class SequenceCache {
     window_size_at_compact_.store(rebuilt_entries,
                                   std::memory_order_relaxed);
     if (obs_dur != nullptr) obs_dur->record(steady_us() - obs_t0);
-    if (obs::Counter* const c =
-            obs_compactions_.load(std::memory_order_relaxed);
-        c != nullptr) {
-      c->inc();
-    }
+    compactions_.inc();
   }
 
   Hasher hasher_;
   MappingFactory factory_;
   std::array<Lane, kWriterLanes> lanes_;
   /// Materialized cells of the live set. The raw pointer is what readers
-  /// load; every array ever published lives in retired_ (the newest entry
+  /// load; every array ever published lives in arrays_ (the newest entry
   /// is the current one) until destruction, so un-announced readers can
   /// never dangle across a grow.
   std::atomic<AtomicCodedCell<T>*> cells_{nullptr};
-  std::vector<std::unique_ptr<AtomicCodedCell<T>[]>> retired_;
+  std::vector<std::unique_ptr<AtomicCodedCell<T>[]>> arrays_;
   std::atomic<std::size_t> cells_size_{0};
   std::atomic<std::uint64_t> reserved_{0};   ///< versions handed to writers
   std::atomic<std::uint64_t> completed_{0};  ///< versions fully applied
   std::atomic<std::int64_t> set_size_{0};
   std::atomic<std::size_t> tombstones_{0};  ///< removal entries in windows
   std::atomic<std::size_t> window_entries_{0};
-  std::atomic<std::size_t> journal_entries_{0};
+  obs::Gauge journal_depth_;  ///< entries across all lane journals
+  obs::Counter compactions_;  ///< coding-window rebuilds run
   std::atomic<std::size_t> window_size_at_compact_{0};  ///< rebuild cooldown
   std::atomic<std::size_t> live_cursors_{0};
   std::atomic<bool> barrier_{false};  ///< an exclusive phase wants the cache
@@ -875,7 +881,6 @@ class SequenceCache {
   std::atomic<obs::Histogram*> obs_gate_wait_us_{nullptr};
   std::atomic<std::uint64_t> obs_gate_sample_{0};  ///< 1-in-8 phase
   std::atomic<obs::Histogram*> obs_compact_us_{nullptr};
-  std::atomic<obs::Counter*> obs_compactions_{nullptr};
 };
 
 }  // namespace ribltx

@@ -5,9 +5,10 @@
 // for the kernel: the listener, the connection table, the sid ->
 // connection reply routes, the shard workers' blocking sink, coalesced
 // wakeups, inbound routing, in-band ADMIN answers, the first half of every
-// close, and the counters. A loop (net::SocketServer over epoll,
+// close, and the counters -- the syscall columns included, which the loops
+// bump at their call sites. A loop (net::SocketServer over epoll,
 // net::UringServer over io_uring) derives from it (CRTP: static dispatch,
-// no virtual call per frame) and supplies five hooks:
+// no virtual call per frame) and supplies four hooks:
 //
 //   run()            the loop thread body: wait for I/O, ingest() what
 //                    arrives, and call drain_cycle() once per iteration
@@ -16,8 +17,11 @@
 //   close_conn(c)    close a connection: begin_close(), release the
 //                    socket, finish_close() once no I/O references it;
 //   flush(c)         push the conduit's output toward the socket, then
-//                    after_flush();
-//   loop_stats(s)    fill the syscall columns of a stats() sample.
+//                    after_flush().
+//
+// Observability taps come from the engine served: its registry gets the
+// server's cells linked under {server="epoll"|"uring"} and answers the
+// METRICS verbs, its tracer answers TRACE.
 //
 // Backpressure end to end: a shard worker's sink blocks while the
 // destination connection's queued output (staged + conduit) sits above the
@@ -83,24 +87,15 @@ struct SocketServerOptions {
   /// the single-shot recv / eventfd fallback paths without an old kernel.
   bool uring_buffer_ring = true;
   bool uring_msg_ring = true;
-  /// Live exposition taps (optional; must outlive the server). With
-  /// `metrics` set the in-band ADMIN verbs "METRICS" (Prometheus text)
-  /// and "METRICS_JSON" answer with a live registry snapshot composed
-  /// with the server's transport counters and the engine roll-up; with
-  /// `tracer` set "TRACE" answers with chrome://tracing JSON. A verb
-  /// whose tap is unset gets an in-band ERROR frame. Pass the same
-  /// registry/tracer the engine's EngineOptions carry so one scrape
-  /// covers every tier.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
 };
 
-/// Transport-layer counters (engine-layer stats live in ShardedStats).
-/// The syscall columns are the bench's syscalls/session source -- counted
-/// at the call sites, not strace'd -- and are populated by both servers:
+/// Transport-layer counters (engine-layer stats live in ShardedStats):
+/// loads of the server's cells, which the engine's registry exports as
+/// the riblt_server_* series. The syscall columns are the bench's
+/// syscalls/session source -- counted at the call sites, not strace'd:
 /// the epoll path counts read/sendmsg/epoll_wait/eventfd-write; the uring
-/// path counts io_uring_enter under `syscalls_wait` (its only steady-state
-/// syscall) plus `sqe_submits` for the batching numerator.
+/// path counts io_uring_enter under `syscalls_wait` (its only
+/// steady-state syscall) plus `sqe_submits` for the batching numerator.
 struct SocketServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -118,63 +113,18 @@ struct SocketServerStats {
   /// Total data-path syscalls (sqe_submits excluded: an SQE is not a
   /// syscall, that is the whole point).
   ///
-  /// Consistency (audited): this sums columns of ONE materialized stats()
-  /// snapshot, so it can never tear a live counter mid-read -- but the
-  /// snapshot itself samples each underlying atomic with a separate
-  /// relaxed load. Each column is individually torn-free (single 64-bit
-  /// atomics) and monotone across successive snapshots; the SUM is a
-  /// smear: a read counted between the syscalls_read load and the
-  /// syscalls_wait load lands in neither. Deltas between two snapshots
-  /// bracket the true syscall count, which is what the benches divide by
-  /// sessions. Same contract as obs::MetricsRegistry::snapshot().
+  /// Consistency: this sums columns of ONE materialized stats() sample,
+  /// so it can never tear a live counter mid-read -- but the sample
+  /// itself loads each cell separately. Each column is torn-free and
+  /// monotone across successive samples; the SUM is a smear: a read
+  /// counted between the syscalls_read load and the syscalls_wait load
+  /// lands in neither. Deltas between two samples bracket the true
+  /// syscall count, which is what the benches divide by sessions. Same
+  /// contract as obs::MetricsRegistry::snapshot().
   [[nodiscard]] std::uint64_t syscalls() const noexcept {
     return syscalls_read + syscalls_write + syscalls_wait + wakeups;
   }
 };
-
-/// Appends the transport counters as synthetic snapshot families -- the
-/// "thin view" composition: the hot counters stay in the server's padded
-/// atomics, and scrape time folds one stats() sample into the exposition
-/// next to the registry-native families. `labels` distinguishes servers
-/// sharing a registry (conventionally {{"server", "epoll"|"uring"}}).
-inline void append_server_stats(obs::MetricsSnapshot& snap,
-                                const SocketServerStats& s,
-                                obs::Labels labels = {}) {
-  snap.add_counter("riblt_server_connections_accepted_total",
-                   "Connections accepted", s.connections_accepted, labels);
-  snap.add_counter("riblt_server_connections_closed_total",
-                   "Connections closed", s.connections_closed, labels);
-  snap.add_counter("riblt_server_frames_in_total",
-                   "Frames reassembled off sockets", s.frames_in, labels);
-  snap.add_counter("riblt_server_frames_out_total",
-                   "Frames staged for sending", s.frames_out, labels);
-  snap.add_counter("riblt_server_frames_dropped_total",
-                   "Outbound frames with no live route", s.frames_dropped,
-                   labels);
-  snap.add_counter("riblt_server_protocol_errors_total",
-                   "Router rejects plus framing poisons", s.protocol_errors,
-                   labels);
-  auto op = [&labels](const char* v) {
-    obs::Labels l = labels;
-    l.emplace_back("op", v);
-    return l;
-  };
-  const char* const syscall_help = "Data-path syscalls by call site";
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_read, op("read"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_write, op("write"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help,
-                   s.syscalls_wait, op("wait"));
-  snap.add_counter("riblt_server_syscalls_total", syscall_help, s.wakeups,
-                   op("wakeup"));
-  snap.add_counter("riblt_server_sqe_submits_total",
-                   "SQEs handed to the kernel (uring)", s.sqe_submits,
-                   labels);
-  snap.add_gauge("riblt_server_routes",
-                 "Live session-to-connection routes",
-                 static_cast<std::int64_t>(s.routes), labels);
-}
 
 /// One connection as the core sees it; a loop derives its own connection
 /// type from this to add its I/O state.
@@ -253,9 +203,10 @@ class ServingCore {
       leftover.swap(conns_);
       routes_.clear();
     }
+    routes_live_.set(0);
     for (auto& [key, conn] : leftover) {
       conn->io.close();
-      closed_.fetch_add(1, std::memory_order_relaxed);
+      closed_.inc();
     }
     {
       const std::lock_guard<std::mutex> lk(dirty_mu_);
@@ -268,18 +219,18 @@ class ServingCore {
 
   [[nodiscard]] SocketServerStats stats() const {
     SocketServerStats out;
-    out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-    out.connections_closed = closed_.load(std::memory_order_relaxed);
-    out.frames_in = frames_in_.load(std::memory_order_relaxed);
-    out.frames_out = frames_out_.load(std::memory_order_relaxed);
-    out.frames_dropped = dropped_.load(std::memory_order_relaxed);
-    out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-    out.wakeups = wakeups_.load(std::memory_order_relaxed);
-    loop().loop_stats(out);
-    {
-      const std::lock_guard<std::mutex> lk(conns_mu_);
-      out.routes = routes_.size();
-    }
+    out.connections_accepted = accepted_.load();
+    out.connections_closed = closed_.load();
+    out.frames_in = frames_in_.load();
+    out.frames_out = frames_out_.load();
+    out.frames_dropped = dropped_.load();
+    out.protocol_errors = protocol_errors_.load();
+    out.syscalls_read = syscalls_read_.load();
+    out.syscalls_write = syscalls_write_.load();
+    out.syscalls_wait = syscalls_wait_.load();
+    out.wakeups = wakeups_.load();
+    out.sqe_submits = sqe_submits_.load();
+    out.routes = static_cast<std::uint64_t>(routes_live_.load());
     return out;
   }
 
@@ -296,11 +247,8 @@ class ServingCore {
     if (options_.low_watermark >= options_.high_watermark) {
       throw std::invalid_argument(name() + ": watermarks out of order");
     }
-    if (options_.metrics != nullptr) {
-      obs_conduit_depth_ = &options_.metrics->histogram(
-          "riblt_server_conduit_pending_bytes",
-          "Bytes queued in a connection's conduit after a flush",
-          {{"server", label_}});
+    if (obs::MetricsRegistry* m = engine_.metrics(); m != nullptr) {
+      bind_metrics(*m);
     }
   }
 
@@ -309,6 +257,13 @@ class ServingCore {
   [[nodiscard]] bool stopping() const noexcept {
     return stopping_.load(std::memory_order_acquire);
   }
+
+  // Syscall columns, bumped by the loop at its call sites (epoll: read,
+  // write, wait; uring: wait = io_uring_enter, sqe = SQEs submitted).
+  obs::Counter syscalls_read_;
+  obs::Counter syscalls_write_;
+  obs::Counter syscalls_wait_;
+  obs::Counter sqe_submits_;
 
   /// Registers a freshly accepted socket as a connection.
   std::shared_ptr<Conn> adopt(int fd) {
@@ -319,7 +274,7 @@ class ServingCore {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.emplace(conn->key, conn);
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    accepted_.inc();
     return conn;
   }
 
@@ -339,7 +294,7 @@ class ServingCore {
     } catch (const sync::ProtocolError&) {
       // Framing poisoned (oversized/garbled length): unrecoverable on a
       // byte stream, and containment is per connection.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.inc();
       loop().close_conn(conn);
       return false;
     }
@@ -427,6 +382,7 @@ class ServingCore {
           ++it;
         }
       }
+      routes_live_.set(static_cast<std::int64_t>(routes_.size()));
     }
     // Abort the engine side of every session this connection still owned:
     // without this, a rateless session stays kActive forever, its shard
@@ -451,7 +407,7 @@ class ServingCore {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.erase(key);
     }
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    closed_.inc();
   }
 
   /// Loop-thread iteration over every live connection (teardown).
@@ -473,6 +429,46 @@ class ServingCore {
     return std::string(label_) + " server";
   }
 
+  /// Links every counter column into `m` under {server=label} and
+  /// resolves the conduit-depth histogram.
+  void bind_metrics(obs::MetricsRegistry& m) {
+    const obs::Labels server{{"server", label_}};
+    const auto link = [&](const char* name, const char* help,
+                          const auto& cell, obs::Labels labels) {
+      links_.push_back(m.link(name, help, std::move(labels), cell));
+    };
+    link("riblt_server_connections_accepted_total", "Connections accepted",
+         accepted_, server);
+    link("riblt_server_connections_closed_total", "Connections closed",
+         closed_, server);
+    link("riblt_server_frames_in_total", "Frames reassembled off sockets",
+         frames_in_, server);
+    link("riblt_server_frames_out_total", "Frames staged for sending",
+         frames_out_, server);
+    link("riblt_server_frames_dropped_total",
+         "Outbound frames with no live route", dropped_, server);
+    link("riblt_server_protocol_errors_total",
+         "Router rejects plus framing poisons", protocol_errors_, server);
+    const char* const syscalls = "riblt_server_syscalls_total";
+    const char* const syscall_help = "Data-path syscalls by call site";
+    const auto op = [&server](const char* v) {
+      obs::Labels l = server;
+      l.emplace_back("op", v);
+      return l;
+    };
+    link(syscalls, syscall_help, syscalls_read_, op("read"));
+    link(syscalls, syscall_help, syscalls_write_, op("write"));
+    link(syscalls, syscall_help, syscalls_wait_, op("wait"));
+    link(syscalls, syscall_help, wakeups_, op("wakeup"));
+    link("riblt_server_sqe_submits_total",
+         "SQEs handed to the kernel (uring)", sqe_submits_, server);
+    link("riblt_server_routes", "Live session-to-connection routes",
+         routes_live_, server);
+    obs_conduit_depth_ = &m.histogram(
+        "riblt_server_conduit_pending_bytes",
+        "Bytes queued in a connection's conduit after a flush", server);
+  }
+
   // ------------------------------------------------------- worker-side sink
 
   /// Delivery callback running on the shard workers. Blocking here is the
@@ -483,7 +479,7 @@ class ServingCore {
     try {
       sid = sync::v2::peek_session_id(frame);
     } catch (const sync::ProtocolError&) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      dropped_.inc();
       return;  // engine frames are well-formed; defensive only
     }
     std::shared_ptr<Conn> conn;
@@ -493,7 +489,7 @@ class ServingCore {
       if (it != routes_.end()) conn = it->second;
     }
     if (!conn) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      dropped_.inc();
       return;  // peer disconnected (or finished) mid-stream
     }
     {
@@ -520,20 +516,20 @@ class ServingCore {
         // worker is free to serve the shard's other sessions again.
         lk.unlock();
         conn->doomed.store(true, std::memory_order_release);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        dropped_.inc();
         mark_dirty(conn);
         wake_loop();
         return;
       }
       if (stopping_.load(std::memory_order_acquire) ||
           conn->dead.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        dropped_.inc();
         return;
       }
       conn->staged_bytes += frame.size();
       conn->staged.push_back(std::move(frame));
     }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    frames_out_.inc();
     mark_dirty(conn);
     wake_loop();
   }
@@ -554,7 +550,7 @@ class ServingCore {
   void wake_loop() {
     if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) {
       loop().wake();
-      wakeups_.fetch_add(1, std::memory_order_relaxed);
+      wakeups_.inc();
     }
   }
 
@@ -564,14 +560,14 @@ class ServingCore {
   /// connection was closed in response.
   bool route_inbound(const std::shared_ptr<Conn>& conn,
                      std::vector<std::byte> frame) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    frames_in_.inc();
     std::uint64_t sid = 0;
     try {
       // Also rejects the empty (zero-length) frame, so the type read below
       // is in bounds.
       sid = sync::v2::peek_session_id(frame);
     } catch (const sync::ProtocolError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.inc();
       loop().close_conn(conn);  // valid framing, unparseable routing: hostile
       return false;
     }
@@ -583,15 +579,8 @@ class ServingCore {
       // rides stage_local back on this same connection, so a scrape works
       // mid-load from a second connection without touching any session.
       auto [replies, is_error] = sync::v2::answer_admin(
-          sid, frame, options_.metrics, options_.tracer,
-          [this](obs::MetricsSnapshot& snap) {
-            // engine_.stats() takes each shard lock briefly (workers never
-            // block holding one -- sinks run outside the shard lock -- so
-            // this cannot deadlock against backpressure).
-            append_server_stats(snap, stats(), {{"server", label_}});
-            sync::append_engine_totals(snap, engine_.stats().totals);
-          });
-      if (is_error) protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+          sid, frame, engine_.metrics(), engine_.tracer());
+      if (is_error) protocol_errors_.inc();
       for (auto& reply : replies) stage_local(conn, std::move(reply));
       return true;
     }
@@ -603,8 +592,9 @@ class ServingCore {
       // the live session.
       const std::lock_guard<std::mutex> lk(conns_mu_);
       const auto [it, inserted] = routes_.emplace(sid, conn);
+      routes_live_.set(static_cast<std::int64_t>(routes_.size()));
       if (!inserted && it->second.get() != conn.get()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.inc();
         stage_local(conn, sync::v2::make_error_frame(
                               sid, "session belongs to another connection"));
         return true;
@@ -618,7 +608,7 @@ class ServingCore {
       // HELLO): contained to this session; tell the peer in-band. Only a
       // route THIS frame created is undone -- a duplicate HELLO must not
       // sever the live session's reply route.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.inc();
       if (inserted_route) drop_route_if_self(sid, *conn);
       stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
       return true;
@@ -636,7 +626,10 @@ class ServingCore {
   void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
     const std::lock_guard<std::mutex> lk(conns_mu_);
     const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) routes_.erase(it);
+    if (it != routes_.end() && it->second.get() == &conn) {
+      routes_.erase(it);
+      routes_live_.set(static_cast<std::int64_t>(routes_.size()));
+    }
   }
 
   /// Stages a loop-generated frame (ERROR and ADMIN replies) onto `conn`,
@@ -651,7 +644,7 @@ class ServingCore {
       conn->staged_bytes += frame.size();
       conn->staged.push_back(std::move(frame));
     }
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    frames_out_.inc();
     mark_dirty(conn);
   }
 
@@ -674,14 +667,19 @@ class ServingCore {
   std::atomic<bool> stopping_{false};
   bool running_ = false;
 
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
+  // Lifetime cells, the one source of stats() and of the registry's
+  // riblt_server_* series (with the syscall columns above).
+  obs::Counter accepted_;
+  obs::Counter closed_;
+  obs::Counter frames_in_;
+  obs::Counter frames_out_;
+  obs::Counter dropped_;
+  obs::Counter protocol_errors_;
+  obs::Counter wakeups_;
+  obs::Gauge routes_live_;  ///< routes_.size(), set under conns_mu_
   obs::Histogram* obs_conduit_depth_ = nullptr;  ///< null = untapped
+  /// Declared last: unlinks before any cell it exports is destroyed.
+  std::vector<obs::MetricsRegistry::Link> links_;
 };
 
 }  // namespace ribltx::net

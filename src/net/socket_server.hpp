@@ -7,11 +7,11 @@
 // read until EAGAIN and fed to the core; the core's drain cycle hands each
 // connection with staged output back to flush(), which writev-drains the
 // conduit as far as the socket accepts and keeps EPOLLOUT interest armed
-// exactly while output remains. Syscalls are counted at the call sites:
-// read, sendmsg, epoll_wait, and the eventfd wakeup.
+// exactly while output remains. Syscalls are counted at the call sites
+// into the core's cells: read, sendmsg, epoll_wait (the core counts the
+// eventfd wakeup).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <memory>
@@ -60,7 +60,7 @@ class SocketServer : public ServingCore<SocketServer<T, Hasher>,
     Poller::Event events[64];
     while (!this->stopping()) {
       const std::size_t n = poller_.wait(events, /*timeout_ms=*/200);
-      syscalls_wait_.fetch_add(1, std::memory_order_relaxed);
+      this->syscalls_wait_.inc();
       for (std::size_t i = 0; i < n; ++i) {
         const Poller::Event& ev = events[i];
         if (ev.key == kListenerKey) {
@@ -103,7 +103,7 @@ class SocketServer : public ServingCore<SocketServer<T, Hasher>,
     std::byte buf[64 * 1024];
     for (;;) {
       const TcpConn::IoResult r = conn->io.read_some(buf);
-      syscalls_read_.fetch_add(1, std::memory_order_relaxed);
+      this->syscalls_read_.inc();
       if (r.status == TcpConn::Io::kWouldBlock) return true;
       if (r.status == TcpConn::Io::kClosed) {
         close_conn(conn);
@@ -123,7 +123,7 @@ class SocketServer : public ServingCore<SocketServer<T, Hasher>,
       const TcpConn::IoResult r =
           conn->io.write_gather(std::span<const std::span<const std::byte>>(
               chunks, n));
-      syscalls_write_.fetch_add(1, std::memory_order_relaxed);
+      this->syscalls_write_.inc();
       if (r.status == TcpConn::Io::kClosed) {
         close_conn(conn);
         return;
@@ -147,17 +147,8 @@ class SocketServer : public ServingCore<SocketServer<T, Hasher>,
     this->finish_close(conn->key);
   }
 
-  void loop_stats(SocketServerStats& out) const {
-    out.syscalls_read = syscalls_read_.load(std::memory_order_relaxed);
-    out.syscalls_write = syscalls_write_.load(std::memory_order_relaxed);
-    out.syscalls_wait = syscalls_wait_.load(std::memory_order_relaxed);
-  }
-
   Poller poller_;
   WakeupFd wakeup_;
-  std::atomic<std::uint64_t> syscalls_read_{0};
-  std::atomic<std::uint64_t> syscalls_write_{0};
-  std::atomic<std::uint64_t> syscalls_wait_{0};
 };
 
 }  // namespace ribltx::net

@@ -31,6 +31,8 @@
 #include <span>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 #if defined(RIBLT_HAS_IO_URING)
 #include <linux/io_uring.h>
 #include <linux/time_types.h>
@@ -82,8 +84,13 @@ class Uring {
   /// Creates the ring (throws std::system_error when the kernel refuses;
   /// callers should gate on uring_available()). `cq_entries` 0 = kernel
   /// default (2x SQ); the server passes a deep CQ because multishot ops
-  /// complete many times per SQE.
-  explicit Uring(unsigned sq_entries, unsigned cq_entries = 0);
+  /// complete many times per SQE. `enters` / `sqes` (either may be null)
+  /// are the caller's cells for io_uring_enter calls made and SQEs handed
+  /// to the kernel -- the uring side of syscalls/session and its batching
+  /// numerator; the owning thread bumps them, any thread may read them.
+  explicit Uring(unsigned sq_entries, unsigned cq_entries = 0,
+                 obs::Counter* enters = nullptr,
+                 obs::Counter* sqes = nullptr);
   ~Uring();
   Uring(const Uring&) = delete;
   Uring& operator=(const Uring&) = delete;
@@ -149,13 +156,6 @@ class Uring {
   static void prep_cancel_all(io_uring_sqe& s,
                               std::uint64_t user_data) noexcept;
 
-  // ------------------------------------------------------- accounting
-
-  /// io_uring_enter syscalls made (the uring side of syscalls/session).
-  [[nodiscard]] std::uint64_t enter_calls() const noexcept;
-  /// SQEs handed to the kernel (submission batching numerator).
-  [[nodiscard]] std::uint64_t sqes_submitted() const noexcept;
-
  private:
   void flush_tail() noexcept;
   int enter(unsigned to_submit, unsigned min_complete, unsigned flags);
@@ -188,10 +188,8 @@ class Uring {
   std::size_t br_buf_size_ = 0;
   std::vector<std::byte> br_data_;
 
-  // Relaxed: the owning thread increments, stats() readers only need a
-  // recent value.
-  std::atomic<std::uint64_t> enters_{0};
-  std::atomic<std::uint64_t> sqe_count_{0};
+  obs::Counter* enters_ = nullptr;  ///< caller's cells (null = uncounted)
+  obs::Counter* sqes_submitted_ = nullptr;
 };
 
 #endif  // RIBLT_HAS_IO_URING

@@ -96,7 +96,9 @@ class UringServer : public ServingCore<UringServer<T, Hasher>,
       : Core(engine, options, "uring") {
     // Deep CQ: multishot accept/recv complete many times per SQE, and an
     // overflowed CQ stalls the whole ring.
-    ring_ = std::make_unique<Uring>(kSqEntries, kCqEntries);
+    ring_ = std::make_unique<Uring>(kSqEntries, kCqEntries,
+                                    &this->syscalls_wait_,
+                                    &this->sqe_submits_);
     use_buf_ring_ = options.uring_buffer_ring &&
                     ring_->setup_buf_ring(kBufGroup, kBufRingEntries,
                                           kRecvBufSize);
@@ -169,11 +171,6 @@ class UringServer : public ServingCore<UringServer<T, Hasher>,
     } else {
       wakeup_.signal();
     }
-  }
-
-  void loop_stats(SocketServerStats& out) const {
-    out.syscalls_wait = ring_ ? ring_->enter_calls() : 0;
-    out.sqe_submits = ring_ ? ring_->sqes_submitted() : 0;
   }
 
   // -------------------------------------------------------- serving thread

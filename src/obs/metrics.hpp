@@ -7,15 +7,23 @@
 //     workers, SequenceCache writer lanes, and the uring serving thread
 //     without ever taking a lock or fencing the caller. A histogram
 //     record is exactly three relaxed fetch_adds (bucket, count, sum).
-//   * Handles are stable raw pointers: registration (mutexed, slow) is
-//     done once at wiring time; the hot path never touches the registry.
+//   * Registration (mutexed, slow) is done once at wiring time: a link()
+//     of a component-owned cell, or a histogram() handle that stays a
+//     stable raw pointer. The hot path never touches the registry.
 //   * Scrapes never stop the world: a snapshot is a plain relaxed walk
 //     of the cells. See "Snapshot consistency" below for exactly what
 //     that buys -- and what it does not.
 //
+// One source per fact: a component's lifetime counters and levels
+// (SyncEngine, ServingCore, Replica, SequenceCache's journal depth) are
+// Counter/Gauge cells the component owns and bumps once, when the event
+// happens. Its stats struct (EngineTotals, SocketServerStats,
+// ReplicaStats) is plain loads of those cells, and the registry exports
+// the very same cells through link(): there is no second copy to drift.
+// Histograms stay registry-owned and optional.
+//
 // Snapshot consistency model (the contract every scrape-facing surface
-// in this tree documents against, including SocketServerStats and
-// ShardedEngine's EngineTotals roll-up):
+// in this tree documents against, the stats structs included):
 //
 //   * Each individual cell (one counter, one gauge, one histogram
 //     bucket) is a single 64-bit atomic: a snapshot of it is always a
@@ -25,7 +33,10 @@
 //     the sum of its buckets by the handful of records in flight, and
 //     two counters bumped by the same code path can be off by a few
 //     events from each other. Quantiles therefore rank against the sum
-//     of the snapshotted buckets, not the count cell.
+//     of the snapshotted buckets, not the count cell. A stats struct
+//     read from the thread that serializes the component's writers
+//     (e.g. an engine's session surface) sees every cross-cell
+//     invariant hold exactly.
 //   * Counters and histogram cells are monotone, so two successive
 //     snapshots bracket the truth: anything that happened before the
 //     first is in both, anything after the second is in neither.
@@ -62,6 +73,13 @@ struct alignas(64) Counter {
 
   void inc(std::uint64_t d = 1) noexcept {
     v.fetch_add(d, std::memory_order_relaxed);
+  }
+  /// Increment for a cell whose writers are already serialized (one
+  /// owning thread, or a lock every writer holds): a relaxed load and
+  /// store instead of a read-modify-write. Readers stay race-free --
+  /// both halves are atomic -- but two unserialized writers lose counts.
+  void inc_serial(std::uint64_t d = 1) noexcept {
+    v.store(v.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t load() const noexcept {
     return v.load(std::memory_order_relaxed);
@@ -261,26 +279,6 @@ struct MetricsSnapshot {
     return nullptr;
   }
 
-  /// Appends a counter sample to the snapshot (creating the family on
-  /// first use): how the transport and engine tiers expose their
-  /// existing stats structs as thin views at scrape time without
-  /// re-homing every hot atomic into the registry.
-  void add_counter(std::string_view name, std::string_view help,
-                   std::uint64_t value, Labels labels = {}) {
-    Series s;
-    s.labels = std::move(labels);
-    s.counter = value;
-    family(name, help, MetricKind::kCounter).series.push_back(std::move(s));
-  }
-
-  void add_gauge(std::string_view name, std::string_view help,
-                 std::int64_t value, Labels labels = {}) {
-    Series s;
-    s.labels = std::move(labels);
-    s.gauge = value;
-    family(name, help, MetricKind::kGauge).series.push_back(std::move(s));
-  }
-
   /// First series of `name` whose labels contain every (k, v) in
   /// `subset` (empty subset: the first series). Null when absent.
   [[nodiscard]] const Series* find_series(std::string_view name,
@@ -306,52 +304,75 @@ struct MetricsSnapshot {
     }
     return nullptr;
   }
-
- private:
-  Family& family(std::string_view name, std::string_view help,
-                 MetricKind kind) {
-    for (Family& f : families) {
-      if (f.name == name) return f;
-    }
-    Family f;
-    f.name = std::string(name);
-    f.help = std::string(help);
-    f.kind = kind;
-    families.push_back(std::move(f));
-    return families.back();
-  }
 };
 
-/// Name -> series registry. Registration is mutexed and dedupes on
-/// (name, sorted labels) -- asking twice returns the same handle, which
-/// is what lets K shard engines share one set of process-wide cells.
-/// Handles are valid for the registry's lifetime (deque storage: no
-/// reallocation ever moves a cell).
+/// Name -> series registry. Counters and gauges are cells a component
+/// owns and exports with link(); every cell linked under one (name,
+/// sorted labels) is summed at snapshot, so K shard engines linking their
+/// own counters under the same key read as one process-wide series while
+/// each engine still reads only its own cells. Histograms are
+/// registry-owned: histogram() dedupes on (name, sorted labels) -- asking
+/// twice returns the same handle, valid for the registry's lifetime
+/// (deque storage never moves a cell).
 class MetricsRegistry {
+  struct SeriesCell;
+
  public:
+  /// RAII handle of one link(): its destructor removes the cell from its
+  /// series under the registry lock, so no snapshot reads the cell
+  /// afterwards. Declare it after the cell it exports (so it dies first)
+  /// and let it die before the registry.
+  class Link {
+   public:
+    Link(Link&& o) noexcept
+        : reg_(std::exchange(o.reg_, nullptr)),
+          series_(o.series_),
+          cell_(o.cell_) {}
+    Link& operator=(Link&&) = delete;
+    ~Link() {
+      if (reg_ != nullptr) reg_->unlink(*series_, cell_);
+    }
+
+   private:
+    friend class MetricsRegistry;
+    Link(MetricsRegistry* reg, SeriesCell* series, const void* cell) noexcept
+        : reg_(reg), series_(series), cell_(cell) {}
+
+    MetricsRegistry* reg_;
+    SeriesCell* series_;
+    const void* cell_;
+  };
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(std::string_view name, std::string_view help,
-                   Labels labels = {}) {
-    return *static_cast<Counter*>(
-        series(name, help, MetricKind::kCounter, std::move(labels)));
-  }
-
-  Gauge& gauge(std::string_view name, std::string_view help,
-               Labels labels = {}) {
-    return *static_cast<Gauge*>(
-        series(name, help, MetricKind::kGauge, std::move(labels)));
-  }
-
   Histogram& histogram(std::string_view name, std::string_view help,
                        Labels labels = {}) {
-    return *static_cast<Histogram*>(
-        series(name, help, MetricKind::kHistogram, std::move(labels)));
+    const std::lock_guard<std::mutex> lk(mu_);
+    SeriesCell& cell =
+        slot(name, help, MetricKind::kHistogram, std::move(labels));
+    if (!cell.hist) cell.hist = std::make_unique<Histogram>();
+    return *cell.hist;
   }
 
-  /// Relaxed walk of every cell; see the consistency model above.
+  /// Exports a cell the caller owns under (name, labels) until the
+  /// returned handle dies.
+  [[nodiscard]] Link link(std::string_view name, std::string_view help,
+                          Labels labels, const Counter& cell) {
+    return link_cell(name, help, MetricKind::kCounter, std::move(labels),
+                     &cell);
+  }
+
+  [[nodiscard]] Link link(std::string_view name, std::string_view help,
+                          Labels labels, const Gauge& cell) {
+    return link_cell(name, help, MetricKind::kGauge, std::move(labels),
+                     &cell);
+  }
+
+  /// Relaxed walk of every cell; see the consistency model above. A
+  /// series whose linked cells are all gone is left out, and so is a
+  /// family left with no series.
   [[nodiscard]] MetricsSnapshot snapshot() const {
     const std::lock_guard<std::mutex> lk(mu_);
     MetricsSnapshot out;
@@ -363,14 +384,19 @@ class MetricsRegistry {
       f.kind = fam.kind;
       f.series.reserve(fam.series.size());
       for (const SeriesCell& cell : fam.series) {
+        if (!cell.hist && cell.links.empty()) continue;
         MetricsSnapshot::Series s;
         s.labels = cell.labels;
         switch (fam.kind) {
           case MetricKind::kCounter:
-            s.counter = cell.counter->load();
+            for (const void* c : cell.links) {
+              s.counter += static_cast<const Counter*>(c)->load();
+            }
             break;
           case MetricKind::kGauge:
-            s.gauge = cell.gauge->load();
+            for (const void* c : cell.links) {
+              s.gauge += static_cast<const Gauge*>(c)->load();
+            }
             break;
           case MetricKind::kHistogram:
             s.hist = cell.hist->snapshot();
@@ -378,7 +404,7 @@ class MetricsRegistry {
         }
         f.series.push_back(std::move(s));
       }
-      out.families.push_back(std::move(f));
+      if (!f.series.empty()) out.families.push_back(std::move(f));
     }
     return out;
   }
@@ -386,9 +412,8 @@ class MetricsRegistry {
  private:
   struct SeriesCell {
     Labels labels;  ///< sorted by key
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> hist;
+    std::unique_ptr<Histogram> hist;  ///< kHistogram
+    std::vector<const void*> links;   ///< kCounter / kGauge cells
   };
   struct Family {
     std::string help;
@@ -409,8 +434,9 @@ class MetricsRegistry {
     return true;
   }
 
-  void* series(std::string_view name, std::string_view help, MetricKind kind,
-               Labels labels) {
+  /// The series for (name, labels), created on first use. Caller holds mu_.
+  SeriesCell& slot(std::string_view name, std::string_view help,
+                   MetricKind kind, Labels labels) {
     if (!valid_name(name)) {
       throw std::invalid_argument("obs: invalid metric name: " +
                                   std::string(name));
@@ -422,7 +448,6 @@ class MetricsRegistry {
       (void)v;
     }
     std::sort(labels.begin(), labels.end());
-    const std::lock_guard<std::mutex> lk(mu_);
     auto [it, inserted] = families_.try_emplace(std::string(name));
     Family& fam = it->second;
     if (inserted) {
@@ -434,33 +459,26 @@ class MetricsRegistry {
                                   std::string(name));
     }
     for (SeriesCell& cell : fam.series) {
-      if (cell.labels == labels) return cell_ptr(fam.kind, cell);
+      if (cell.labels == labels) return cell;
     }
     SeriesCell cell;
     cell.labels = std::move(labels);
-    switch (kind) {
-      case MetricKind::kCounter:
-        cell.counter = std::make_unique<Counter>();
-        break;
-      case MetricKind::kGauge:
-        cell.gauge = std::make_unique<Gauge>();
-        break;
-      case MetricKind::kHistogram:
-        cell.hist = std::make_unique<Histogram>();
-        break;
-    }
     fam.series.push_back(std::move(cell));
-    return cell_ptr(kind, fam.series.back());
+    return fam.series.back();
   }
 
-  [[nodiscard]] static void* cell_ptr(MetricKind kind,
-                                      SeriesCell& cell) noexcept {
-    switch (kind) {
-      case MetricKind::kCounter: return cell.counter.get();
-      case MetricKind::kGauge: return cell.gauge.get();
-      case MetricKind::kHistogram: return cell.hist.get();
-    }
-    return nullptr;
+  Link link_cell(std::string_view name, std::string_view help,
+                 MetricKind kind, Labels labels, const void* cell) {
+    const std::lock_guard<std::mutex> lk(mu_);
+    SeriesCell& series = slot(name, help, kind, std::move(labels));
+    series.links.push_back(cell);
+    return Link(this, &series, cell);
+  }
+
+  void unlink(SeriesCell& series, const void* cell) noexcept {
+    const std::lock_guard<std::mutex> lk(mu_);
+    series.links.erase(
+        std::find(series.links.begin(), series.links.end(), cell));
   }
 
   mutable std::mutex mu_;

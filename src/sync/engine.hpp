@@ -225,16 +225,14 @@ struct Frame {
 
 /// The one ADMIN responder, shared by every endpoint that takes in-band
 /// scrapes (the socket servers and the Replica). "METRICS" and
-/// "METRICS_JSON" render the registry snapshot after `compose(snapshot)`
-/// appended the endpoint's own thin views; "TRACE" renders the tracer.
-/// Returns the chunked ADMIN_REPLY frames and false -- or, for a malformed
-/// frame, an unknown verb, or a verb whose tap is null, a single ERROR
-/// frame and true.
-template <typename Compose>
-[[nodiscard]] std::pair<std::vector<std::vector<std::byte>>, bool>
+/// "METRICS_JSON" render the registry snapshot -- every component's
+/// stats cells are linked into it, so the snapshot is the whole story;
+/// "TRACE" renders the tracer. Returns the chunked ADMIN_REPLY frames and
+/// false -- or, for a malformed frame, an unknown verb, or a verb whose
+/// tap is null, a single ERROR frame and true.
+[[nodiscard]] inline std::pair<std::vector<std::vector<std::byte>>, bool>
 answer_admin(std::uint64_t session_id, std::span<const std::byte> raw,
-             obs::MetricsRegistry* metrics, obs::Tracer* tracer,
-             Compose&& compose) {
+             obs::MetricsRegistry* metrics, obs::Tracer* tracer) {
   std::string verb;
   try {
     verb = error_text(parse_frame(raw));  // payload bytes as text
@@ -243,8 +241,7 @@ answer_admin(std::uint64_t session_id, std::span<const std::byte> raw,
   }
   std::string body;
   if ((verb == "METRICS" || verb == "METRICS_JSON") && metrics != nullptr) {
-    obs::MetricsSnapshot snap = metrics->snapshot();
-    compose(snap);
+    const obs::MetricsSnapshot snap = metrics->snapshot();
     body = verb == "METRICS" ? obs::prometheus_text(snap)
                              : obs::json_text(snap);
   } else if (verb == "TRACE" && tracer != nullptr) {
@@ -305,26 +302,27 @@ struct EngineOptions {
   /// scale. Defaults to the steady clock; netsim harnesses bind their
   /// EventLoop's now() so simulated idleness reaps in simulated time.
   std::function<double()> clock{};
-  /// Observability taps (both optional; must outlive the engine). With
-  /// `metrics` set the engine registers its lifecycle counters,
-  /// per-backend session histograms, and the SequenceCache gate-wait /
-  /// compaction timings in the registry; with `tracer` set every
-  /// session lifecycle step (HELLO -> grant -> rounds -> DONE / ERROR /
-  /// reap) lands in the trace rings. A ShardedEngine propagates one
-  /// registry to all shards; the registry dedupes on (name, labels), so
-  /// shards share process-wide cells and the roll-up is additive. Null
-  /// pointers cost one predictable branch per instrumentation site --
-  /// the measured "instrumentation off" baseline of
+  /// Observability taps (both optional; must outlive the engine). The
+  /// engine's lifetime counters are always on (EngineTotals reads them);
+  /// with `metrics` set the engine links those cells into the registry
+  /// and adds its per-backend session histograms and the SequenceCache
+  /// gate-wait / compaction timings; with `tracer` set every session
+  /// lifecycle step (HELLO -> grant -> rounds -> DONE / ERROR / reap)
+  /// lands in the trace rings. A ShardedEngine propagates both taps to
+  /// all shards (cells linked under one key sum at snapshot, so the
+  /// roll-up is additive) and the servers take theirs from the engine
+  /// they serve. Null taps cost one predictable branch per histogram or
+  /// trace site -- the measured "instrumentation off" baseline of
   /// bench_extra_serving_throughput's overhead gate.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
 
 /// Whole-engine roll-up of the per-session accounting (the per-shard and
-/// cross-shard stats a ShardedEngine reports). Lifetime totals: closed
-/// sessions fold into the engine's retired accumulator, so `sessions` /
-/// `done` / `failed` count every session ever opened while `active` counts
-/// only sessions currently live in the table.
+/// cross-shard stats a ShardedEngine reports). Every field is a load of
+/// one of the engine's lifetime cells -- the same cells the registry
+/// exports. done/failed tick at the terminal transition, so sessions ==
+/// done + failed + active whenever the session surface is quiescent.
 struct EngineTotals {
   std::size_t sessions = 0;
   std::size_t active = 0;
@@ -358,69 +356,6 @@ struct EngineTotals {
   }
 };
 
-/// Appends an EngineTotals roll-up to a metrics snapshot as synthetic
-/// counter/gauge families -- the thin-view path the servers' METRICS
-/// admin verb composes before rendering. Snapshot consistency: a totals
-/// struct built under the serving lock (SyncEngine::totals via the
-/// shard mutex) is internally consistent for the session-lifecycle
-/// fields; items_added/items_removed/journal_depth are concurrent
-/// relaxed counters and may run a few events ahead of the session
-/// fields (see the model in obs/metrics.hpp).
-inline void append_engine_totals(obs::MetricsSnapshot& s,
-                                 const EngineTotals& t,
-                                 obs::Labels labels = {}) {
-  s.add_counter("riblt_engine_sessions_total",
-                "Sessions ever opened (live + retired)", t.sessions, labels);
-  s.add_gauge("riblt_engine_sessions_active",
-              "Sessions currently reconciling",
-              static_cast<std::int64_t>(t.active), labels);
-  s.add_counter("riblt_engine_sessions_done_total",
-                "Sessions completed by a client DONE", t.done, labels);
-  s.add_counter("riblt_engine_sessions_failed_total",
-                "Sessions ended by contained failure", t.failed, labels);
-  s.add_counter("riblt_engine_bytes_to_peers_total",
-                "SYMBOLS frame bytes emitted", t.bytes_to_peers, labels);
-  s.add_counter("riblt_engine_bytes_from_peers_total",
-                "HELLO/ROUND/DONE frame bytes received", t.bytes_from_peers,
-                labels);
-  s.add_counter("riblt_engine_rounds_total", "Round requests honored",
-                t.rounds, labels);
-  s.add_counter("riblt_engine_frames_sent_total", "SYMBOLS frames emitted",
-                t.frames_sent, labels);
-  s.add_counter("riblt_engine_items_added_total",
-                "Successful add_item calls", t.items_added, labels);
-  s.add_counter("riblt_engine_items_removed_total",
-                "Successful remove_item calls", t.items_removed, labels);
-  s.add_gauge("riblt_engine_journal_depth",
-              "Churn ops retained for open snapshots",
-              static_cast<std::int64_t>(t.journal_depth), labels);
-  s.add_counter("riblt_engine_sessions_reaped_total",
-                "Idle sessions reclaimed", t.sessions_reaped, labels);
-  s.add_counter("riblt_engine_sessions_evicted_total",
-                "Oldest-idle sessions shed at the cap", t.sessions_evicted,
-                labels);
-}
-
-/// Relaxed event counter that stays movable (std::atomic is not): moving
-/// an engine is only legal while nothing else touches it -- the same
-/// contract as every other member -- so a plain value copy is exact.
-struct MovableCounter {
-  MovableCounter() = default;
-  MovableCounter(MovableCounter&& o) noexcept
-      : n(o.n.load(std::memory_order_relaxed)) {}
-  MovableCounter& operator=(MovableCounter&& o) noexcept {
-    n.store(o.n.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
-  }
-  void fetch_add(std::uint64_t d, std::memory_order mo) noexcept {
-    n.fetch_add(d, mo);
-  }
-  [[nodiscard]] std::uint64_t load(std::memory_order mo) const noexcept {
-    return n.load(mo);
-  }
-  std::atomic<std::uint64_t> n{0};
-};
-
 /// Hash-keyed membership index for the served set, striped so concurrent
 /// ingest threads contend only when their items land in the same stripe.
 /// Entries are confirmed by symbol equality, so 64-bit hash collisions
@@ -434,19 +369,6 @@ class StripedItemIndex {
   static constexpr std::size_t kStripes = 64;
 
   StripedItemIndex() : stripes_(std::make_unique<StripeArray>()) {}
-
-  // Movable so the owning engine stays movable; moving is only legal while
-  // no other thread touches either side (same contract as every member),
-  // and a moved-from index is only destructible/assignable.
-  StripedItemIndex(StripedItemIndex&& other) noexcept
-      : stripes_(std::move(other.stripes_)),
-        size_(other.size_.exchange(0, std::memory_order_relaxed)) {}
-  StripedItemIndex& operator=(StripedItemIndex&& other) noexcept {
-    stripes_ = std::move(other.stripes_);
-    size_.store(other.size_.exchange(0, std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    return *this;
-  }
 
   /// Inserts unless an equal item is present. True on insert.
   bool insert(const HashedSymbol<T>& hs) {
@@ -545,9 +467,10 @@ class StripedItemIndex {
 /// is lock-free (see SequenceCache), and the probe digest is replicated
 /// across kProbeLanes per-thread lanes merged only at HELLO time. The
 /// SESSION surface -- handle_frame, next_frame, close_session, session
-/// queries, totals -- is NOT internally synchronized; callers serialize it
+/// queries -- is NOT internally synchronized; callers serialize it
 /// (ShardedEngine holds its per-shard mutex around it) while ingest runs
-/// concurrently underneath.
+/// concurrently underneath. totals() is plain relaxed loads of the
+/// engine's cells and is safe from any thread.
 template <Symbol T, typename Hasher = SipHasher<T>>
 class SyncEngine {
  public:
@@ -568,6 +491,9 @@ class SyncEngine {
     if (options_.metrics != nullptr) bind_metrics(*options_.metrics);
   }
 
+  SyncEngine(const SyncEngine&) = delete;
+  SyncEngine& operator=(const SyncEngine&) = delete;
+
   /// Adds an item to the served set. Returns false (and leaves every
   /// structure untouched) if the item is already present -- a duplicate add
   /// would corrupt the subtractive cache (its cells count items, so the
@@ -587,7 +513,7 @@ class SyncEngine {
       const std::lock_guard<std::mutex> lk(lane.mu);
       lane.probe.add_hashed(hs);  // keep the live probe digest current
     }
-    items_added_.fetch_add(1, std::memory_order_relaxed);
+    items_added_.inc();
     return true;
   }
 
@@ -607,7 +533,7 @@ class SyncEngine {
       const std::lock_guard<std::mutex> lk(lane.mu);
       lane.probe.remove_hashed(hs);  // subtractive cells back out cleanly
     }
-    items_removed_.fetch_add(1, std::memory_order_relaxed);
+    items_removed_.inc();
     return true;
   }
 
@@ -715,15 +641,17 @@ class SyncEngine {
         }
         session.stats.backend = backend;
         session.stats.checksum_len = effective;
-        session.stats.bytes_from_peer = data.size();
         session.stats.adaptive = adaptive;
         session.stats.d_estimate = d_est;
         session.stats.pace_cap = pace_cap;
         session.peer_id = adaptive ? frame.peer_id : 0;
         const double opened_at = now_s();
         session.last_activity = opened_at;
-        sessions_.emplace(frame.session_id, std::move(session));
-        if (auto* c = cells(backend).opened; c != nullptr) c->inc();
+        const auto opened =
+            sessions_.emplace(frame.session_id, std::move(session)).first;
+        received(opened->second, data.size());
+        cells(backend).opened.inc_serial();
+        active_.add(1);
         trace(obs::TraceKind::kOpen, frame.session_id, backend, d_est,
               pace_cap, opened_at);
         v2::Frame ack;
@@ -741,7 +669,7 @@ class SyncEngine {
       }
       case v2::FrameType::kRound: {
         Session& session = established(frame.session_id);
-        session.stats.bytes_from_peer += data.size();
+        received(session, data.size());
         // Any inbound frame proves the peer is still consuming: reopen the
         // pacing runway from the current emission position.
         session.pace_mark = session.stats.bytes_to_peer;
@@ -769,6 +697,7 @@ class SyncEngine {
           session.encoder->handle_round_request(frame.payload);
           if (cpu != nullptr) cpu->record(steady_us() - t0);
           ++session.stats.rounds;
+          rounds_.inc_serial();
           trace(obs::TraceKind::kRound, frame.session_id,
                 session.stats.backend, session.stats.rounds);
         } catch (const std::exception& e) {
@@ -778,10 +707,10 @@ class SyncEngine {
       }
       case v2::FrameType::kDone: {
         Session& session = established(frame.session_id);
-        session.stats.bytes_from_peer += data.size();
+        received(session, data.size());
         session.pace_mark = session.stats.bytes_to_peer;
         if (session.stats.state == SessionState::kActive) {
-          session.stats.state = SessionState::kDone;
+          finish(session, SessionState::kDone);
           session.stats.done_value = frame.value;
           trace(obs::TraceKind::kDone, frame.session_id,
                 session.stats.backend, session.stats.bytes_to_peer,
@@ -798,10 +727,10 @@ class SyncEngine {
         // The client aborted its side (e.g. its decoder hit a data-path
         // dead end); contain it to this session.
         Session& session = established(frame.session_id);
-        session.stats.bytes_from_peer += data.size();
+        received(session, data.size());
         if (session.stats.state == SessionState::kActive) {
-          session.stats.state = SessionState::kFailed;
-          session.stats.error = "peer abort: " + v2::error_text(frame);
+          finish(session, SessionState::kFailed,
+                 "peer abort: " + v2::error_text(frame));
           trace(obs::TraceKind::kError, frame.session_id,
                 session.stats.backend, session.stats.bytes_to_peer,
                 session.stats.bytes_from_peer);
@@ -880,6 +809,8 @@ class SyncEngine {
     auto encoded = v2::encode_frame(frame);
     session.stats.bytes_to_peer += encoded.size();
     ++session.stats.frames_sent;
+    bytes_to_peers_.inc_serial(encoded.size());
+    frames_sent_.inc_serial();
     return encoded;
   }
 
@@ -900,34 +831,29 @@ class SyncEngine {
     return n;
   }
 
-  /// Sums the per-session accounting (the ShardedEngine stats roll-up).
-  /// Lifetime view: starts from the retired accumulator (every session ever
-  /// closed, reaped, or evicted) and adds the live table on top.
-  ///
-  /// Consistency: this walks sessions_, so it belongs to the SESSION
-  /// surface -- callers serialize it (the shard mutex), and the
-  /// session-lifecycle fields of the result are exact as of that lock.
-  /// items_added/items_removed/journal_depth load concurrent relaxed
-  /// counters: each is individually torn-free and monotone, but they
-  /// can run ahead of the locked fields by whatever ingest completed
-  /// mid-call (the obs/metrics.hpp snapshot model).
-  [[nodiscard]] EngineTotals totals() const {
-    EngineTotals t = retired_;
-    for (const auto& [id, s] : sessions_) {
-      ++t.sessions;
-      switch (s.stats.state) {
-        case SessionState::kActive: ++t.active; break;
-        case SessionState::kDone: ++t.done; break;
-        case SessionState::kFailed: ++t.failed; break;
-      }
-      t.bytes_to_peers += s.stats.bytes_to_peer;
-      t.bytes_from_peers += s.stats.bytes_from_peer;
-      t.rounds += s.stats.rounds;
-      t.frames_sent += s.stats.frames_sent;
+  /// Lifetime roll-up: plain relaxed loads of the engine's cells, safe
+  /// from any thread. Read from the thread that serializes the session
+  /// surface it is exact; read concurrently, each field is torn-free and
+  /// monotone but cross-field sums may be off by the events in flight
+  /// (the obs/metrics.hpp snapshot model).
+  [[nodiscard]] EngineTotals totals() const noexcept {
+    EngineTotals t;
+    for (const BackendCells& c : cells_) {
+      t.sessions += c.opened.load();
+      t.done += c.done.load();
+      t.failed += c.failed.load();
     }
-    t.items_added = items_added_.load(std::memory_order_relaxed);
-    t.items_removed = items_removed_.load(std::memory_order_relaxed);
+    const std::int64_t active = active_.load();
+    t.active = active > 0 ? static_cast<std::size_t>(active) : 0;
+    t.bytes_to_peers = bytes_to_peers_.load();
+    t.bytes_from_peers = bytes_from_peers_.load();
+    t.rounds = rounds_.load();
+    t.frames_sent = frames_sent_.load();
+    t.items_added = items_added_.load();
+    t.items_removed = items_removed_.load();
     t.journal_depth = cache_->journal_size();
+    t.sessions_reaped = reaped_.load();
+    t.sessions_evicted = evicted_.load();
     return t;
   }
 
@@ -939,9 +865,8 @@ class SyncEngine {
   }
 
   /// Drops a session's state (a long-lived server would do this on
-  /// disconnect), folding its accounting into the retired totals -- a
-  /// session closed while still kActive was aborted and folds as failed.
-  /// Returns false if the id is unknown.
+  /// disconnect) -- a session closed while still kActive was aborted and
+  /// counts as failed. Returns false if the id is unknown.
   bool close_session(std::uint64_t id) {
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return false;
@@ -970,12 +895,10 @@ class SyncEngine {
       Session& s = it->second;
       if (s.stats.state == SessionState::kActive &&
           now - s.last_activity > deadline_s) {
-        s.stats.state = SessionState::kFailed;
-        s.stats.error = "idle session reaped";
+        finish(s, SessionState::kFailed, "idle session reaped");
         reaped.emplace_back(it->first,
                             v2::make_error_frame(it->first, s.stats.error));
-        ++retired_.sessions_reaped;
-        if (obs_reaped_ != nullptr) obs_reaped_->inc();
+        reaped_.inc_serial();
         trace(obs::TraceKind::kReap, it->first, s.stats.backend,
               s.stats.bytes_to_peer);
         retire(it++);
@@ -991,22 +914,17 @@ class SyncEngine {
     return index_.size();
   }
 
-  /// Lifetime ingest counters (successful adds/removes; thread-safe).
-  [[nodiscard]] std::uint64_t items_added() const noexcept {
-    return items_added_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t items_removed() const noexcept {
-    return items_removed_.load(std::memory_order_relaxed);
-  }
-
   /// Cells of the shared rateless stream materialized so far (diagnostics).
   [[nodiscard]] std::size_t cache_cells() const noexcept {
     return cache_->materialized();
   }
 
-  /// Churn ops currently retained for open sessions' snapshots.
-  [[nodiscard]] std::size_t cache_journal_size() const noexcept {
-    return cache_->journal_size();
+  /// The observability taps this engine was built with (null = untapped).
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return options_.metrics;
+  }
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return options_.tracer;
   }
 
   /// Visits every item of the served set as HashedSymbols, one index stripe
@@ -1095,7 +1013,6 @@ class SyncEngine {
   void prune_cache_journal(bool force = false) {
     if (cache_->journal_size() == 0) {
       journal_size_at_prune_ = 0;
-      if (obs_journal_ != nullptr) obs_journal_->set(0);
       return;
     }
     if (!force && cache_->journal_size() < journal_size_at_prune_ + 64) {
@@ -1109,17 +1026,13 @@ class SyncEngine {
     }
     cache_->prune_journal(min_pos);
     journal_size_at_prune_ = cache_->journal_size();
-    if (obs_journal_ != nullptr) {
-      obs_journal_->set(static_cast<std::int64_t>(journal_size_at_prune_));
-    }
   }
 
   /// Marks the session failed and builds the ERROR frame -- the containment
   /// boundary: only this session is affected.
   [[nodiscard]] std::vector<std::byte> fail(std::uint64_t id, Session& session,
                                             const std::string& reason) {
-    session.stats.state = SessionState::kFailed;
-    session.stats.error = reason;
+    finish(session, SessionState::kFailed, reason);
     trace(obs::TraceKind::kError, id, session.stats.backend,
           session.stats.bytes_to_peer, session.stats.bytes_from_peer);
     return v2::make_error_frame(id, reason);
@@ -1132,26 +1045,32 @@ class SyncEngine {
         .count();
   }
 
-  /// Folds a session's accounting into the retired totals and erases it.
-  /// A session still kActive here was aborted: it counts as failed.
+  /// The one terminal transition: every path that ends an ACTIVE session
+  /// (client DONE or ERROR, contained failure, reap, eviction, close while
+  /// active) lands here, so done/failed/active move exactly once per
+  /// session.
+  void finish(Session& session, SessionState state, std::string error = {}) {
+    session.stats.state = state;
+    session.stats.error = std::move(error);
+    BackendCells& c = cells(session.stats.backend);
+    (state == SessionState::kDone ? c.done : c.failed).inc_serial();
+    active_.add(-1);
+  }
+
+  /// Inbound bytes attributed to a session.
+  void received(Session& session, std::size_t bytes) {
+    session.stats.bytes_from_peer += bytes;
+    bytes_from_peers_.inc_serial(bytes);
+  }
+
+  /// Erases a session, recording its per-session histograms. A session
+  /// still kActive here was aborted: it finishes as failed first.
   void retire(typename std::map<std::uint64_t, Session>::iterator it) {
+    if (it->second.stats.state == SessionState::kActive) {
+      finish(it->second, SessionState::kFailed, "closed while active");
+    }
     const SessionStats& s = it->second.stats;
-    ++retired_.sessions;
-    if (s.state == SessionState::kDone) {
-      ++retired_.done;
-    } else {
-      ++retired_.failed;
-    }
-    retired_.bytes_to_peers += s.bytes_to_peer;
-    retired_.bytes_from_peers += s.bytes_from_peer;
-    retired_.rounds += s.rounds;
-    retired_.frames_sent += s.frames_sent;
     const BackendCells& c = cells(s.backend);
-    if (s.state == SessionState::kDone) {
-      if (c.done != nullptr) c.done->inc();
-    } else if (c.failed != nullptr) {
-      c.failed->inc();
-    }
     if (c.bytes_to_peer != nullptr) c.bytes_to_peer->record(s.bytes_to_peer);
     if (c.rounds != nullptr) c.rounds->record(s.rounds);
     trace(obs::TraceKind::kClose, it->first, s.backend, s.bytes_to_peer,
@@ -1180,12 +1099,10 @@ class SyncEngine {
       }
     }
     if (victim == sessions_.end()) return false;
-    victim->second.stats.state = SessionState::kFailed;
-    victim->second.stats.error = "evicted at session cap";
+    finish(victim->second, SessionState::kFailed, "evicted at session cap");
     out.push_back(
         v2::make_error_frame(victim->first, victim->second.stats.error));
-    ++retired_.sessions_evicted;
-    if (obs_evicted_ != nullptr) obs_evicted_->inc();
+    evicted_.inc_serial();
     trace(obs::TraceKind::kEvict, victim->first,
           victim->second.stats.backend, victim->second.stats.bytes_to_peer);
     retire(victim);
@@ -1195,35 +1112,42 @@ class SyncEngine {
 
   // ------------------------------------------------------ observability
 
-  /// Pre-resolved registry handles per backend wire id (1..4; slot 0
-  /// unused). Resolved once at construction so the hot paths never
-  /// touch the registry -- a null handle is the "instrumentation off"
-  /// branch.
+  /// Per backend wire id (1..4; slot 0 unused): the always-on lifetime
+  /// session counters totals() sums, and the registry histograms resolved
+  /// once at construction so the hot paths never touch the registry -- a
+  /// null handle is the "instrumentation off" branch.
   struct BackendCells {
-    obs::Counter* opened = nullptr;
-    obs::Counter* done = nullptr;
-    obs::Counter* failed = nullptr;
+    obs::Counter opened;
+    obs::Counter done;
+    obs::Counter failed;
     obs::Histogram* bytes_to_peer = nullptr;
     obs::Histogram* rounds = nullptr;
     obs::Histogram* cpu_us = nullptr;  ///< per-call encode/round CPU
   };
 
-  [[nodiscard]] const BackendCells& cells(BackendId b) const noexcept {
+  [[nodiscard]] BackendCells& cells(BackendId b) noexcept {
     const auto i = static_cast<std::size_t>(b);
-    return obs_cells_[i < obs_cells_.size() ? i : 0];
+    return cells_[i < cells_.size() ? i : 0];
   }
 
+  /// Links every lifetime cell into `m` and resolves the histograms.
   void bind_metrics(obs::MetricsRegistry& m) {
+    const auto link = [&](const char* name, const char* help,
+                          const auto& cell, obs::Labels labels = {}) {
+      links_.push_back(m.link(name, help, std::move(labels), cell));
+    };
     for (std::uint8_t wire = 1; wire <= 4; ++wire) {
       const auto id = static_cast<BackendId>(wire);
       const obs::Labels labels{{"backend", backend_name(id)}};
-      BackendCells& c = obs_cells_[wire];
-      c.opened = &m.counter("riblt_sessions_opened_total",
-                            "Sessions accepted at HELLO", labels);
-      c.done = &m.counter("riblt_sessions_done_total",
-                          "Sessions retired after a client DONE", labels);
-      c.failed = &m.counter("riblt_sessions_failed_total",
-                            "Sessions retired failed/aborted", labels);
+      BackendCells& c = cells_[wire];
+      link("riblt_sessions_opened_total", "Sessions accepted at HELLO",
+           c.opened, labels);
+      link("riblt_sessions_done_total", "Sessions completed by a client DONE",
+           c.done, labels);
+      link("riblt_sessions_failed_total",
+           "Sessions ended failed (contained error, peer abort, reap, "
+           "eviction, close while active)",
+           c.failed, labels);
       c.bytes_to_peer =
           &m.histogram("riblt_session_bytes_to_peer",
                        "SYMBOLS bytes emitted per retired session", labels);
@@ -1236,22 +1160,30 @@ class SyncEngine {
           "calls sampled 1-in-8)",
           labels);
     }
-    obs_reaped_ =
-        &m.counter("riblt_sessions_reaped_total", "Idle sessions reclaimed");
-    obs_evicted_ = &m.counter("riblt_sessions_evicted_total",
-                              "Oldest-idle sessions shed at the cap");
-    // No live-session gauge here: scrape-time composition already exports
-    // riblt_engine_sessions_active from EngineTotals, so the hot open path
-    // stays at one counter increment.
-    obs_journal_ = &m.gauge("riblt_cache_journal_depth",
-                            "Churn ops retained for open snapshots");
+    link("riblt_sessions_active", "Sessions accepted and not yet terminal",
+         active_);
+    link("riblt_sessions_reaped_total", "Idle sessions reclaimed", reaped_);
+    link("riblt_sessions_evicted_total",
+         "Oldest-idle sessions shed at the cap", evicted_);
+    link("riblt_bytes_to_peers_total", "SYMBOLS frame bytes emitted",
+         bytes_to_peers_);
+    link("riblt_bytes_from_peers_total", "Session frame bytes received",
+         bytes_from_peers_);
+    link("riblt_rounds_total", "Round requests honored", rounds_);
+    link("riblt_frames_sent_total", "SYMBOLS frames emitted", frames_sent_);
+    link("riblt_items_added_total", "Successful add_item calls",
+         items_added_);
+    link("riblt_items_removed_total", "Successful remove_item calls",
+         items_removed_);
+    link("riblt_cache_journal_depth", "Churn ops retained for open snapshots",
+         cache_->journal_depth());
+    link("riblt_cache_compactions_total", "Coding-window compactions run",
+         cache_->compactions());
     cache_->bind_metrics(
         &m.histogram("riblt_cache_gate_wait_us",
                      "ExclusiveGate acquire+drain wait (microseconds)"),
         &m.histogram("riblt_cache_compact_us",
-                     "Coding-window compaction duration (microseconds)"),
-        &m.counter("riblt_cache_compactions_total",
-                   "Coding-window compactions run"));
+                     "Coding-window compaction duration (microseconds)"));
   }
 
   /// `ts_hint` lets call sites that already computed now_s() skip a
@@ -1302,17 +1234,25 @@ class SyncEngine {
   std::shared_ptr<SequenceCache<T, Hasher>> cache_;  ///< the rateless stream
   std::size_t journal_size_at_prune_ = 0;  ///< rescan throttle
   std::map<std::uint64_t, Session> sessions_;
-  EngineTotals retired_;  ///< fold of every closed/reaped/evicted session
   std::vector<std::unique_ptr<ProbeLane>> probe_lanes_;
-  MovableCounter items_added_;
-  MovableCounter items_removed_;
   adaptive::PeerEwma peer_ewma_;  ///< per-peer diff history (adaptive)
-  /// Registry handles (null = untapped); see bind_metrics().
-  std::array<BackendCells, 5> obs_cells_{};
+  // Lifetime cells, the one source of EngineTotals and of the registry's
+  // engine series. Session-surface cells are bumped with inc_serial (the
+  // caller serializes that surface); the ingest pair is multi-writer.
+  std::array<BackendCells, 5> cells_{};
+  obs::Gauge active_;
+  obs::Counter bytes_to_peers_;
+  obs::Counter bytes_from_peers_;
+  obs::Counter rounds_;
+  obs::Counter frames_sent_;
+  obs::Counter reaped_;
+  obs::Counter evicted_;
+  obs::Counter items_added_;
+  obs::Counter items_removed_;
   std::uint64_t obs_cpu_sample_ = 0;  ///< 1-in-8 serve-CPU sampling phase
-  obs::Counter* obs_reaped_ = nullptr;
-  obs::Counter* obs_evicted_ = nullptr;
-  obs::Gauge* obs_journal_ = nullptr;
+  /// Registry links of the cells above; declared last so they unlink
+  /// before any cell they export is destroyed.
+  std::vector<obs::MetricsRegistry::Link> links_;
 };
 
 /// Client side of one engine session: produces HELLO, absorbs SYMBOLS,

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <functional>
@@ -55,7 +56,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "obs/prom.hpp"
+#include "obs/metrics.hpp"
 #include "sync/engine.hpp"
 
 namespace ribltx::sync {
@@ -92,7 +93,8 @@ struct ReplicaOptions {
 };
 
 /// Per-peer health snapshot (staleness is the fig12 axis: how long ago
-/// this replica last converged with the peer).
+/// this replica last converged with the peer). Loads of the peer's cells,
+/// which hold times in caller-clock microseconds.
 struct ReplicaPeerStats {
   std::uint64_t peer_id = 0;
   double last_success = -1;   ///< time of last converged round (-1 = never)
@@ -101,6 +103,8 @@ struct ReplicaPeerStats {
   std::uint64_t converged = 0;
 };
 
+/// Loads of the replica's cells (the same cells its registry exports as
+/// the riblt_replica_* series) plus its engine's totals.
 struct ReplicaStats {
   std::uint64_t rounds_attempted = 0;
   std::uint64_t rounds_converged = 0;
@@ -113,49 +117,6 @@ struct ReplicaStats {
   std::vector<ReplicaPeerStats> peers;
   EngineTotals engine;  ///< serving-side roll-up (reaps/evictions included)
 };
-
-/// Appends the replica roll-up as synthetic snapshot families (the thin
-/// view over ReplicaStats), including per-peer health rows labeled by
-/// peer id -- staleness surfaces as riblt_replica_peer_last_success_s so
-/// a scraper computes "now - last_success" on its own clock.
-inline void append_replica_stats(obs::MetricsSnapshot& snap,
-                                 const ReplicaStats& s,
-                                 obs::Labels labels = {}) {
-  snap.add_counter("riblt_replica_rounds_attempted_total",
-                   "Outbound anti-entropy rounds opened", s.rounds_attempted,
-                   labels);
-  snap.add_counter("riblt_replica_rounds_converged_total",
-                   "Rounds that completed and applied their diff",
-                   s.rounds_converged, labels);
-  snap.add_counter("riblt_replica_rounds_aborted_total",
-                   "Failed + deadline-aborted + link-down rounds",
-                   s.rounds_aborted, labels);
-  snap.add_counter("riblt_replica_retries_total",
-                   "Rounds opened while a backoff was pending", s.retries,
-                   labels);
-  snap.add_counter("riblt_replica_items_applied_total",
-                   "Items learned through anti-entropy", s.items_applied,
-                   labels);
-  snap.add_counter("riblt_replica_restarts_total",
-                   "Crash/restart cycles", s.restarts, labels);
-  append_engine_totals(snap, s.engine, labels);
-  for (const ReplicaPeerStats& p : s.peers) {
-    obs::Labels l = labels;
-    l.emplace_back("peer", std::to_string(p.peer_id));
-    snap.add_gauge("riblt_replica_peer_backoff_ms",
-                   "Current retry delay toward this peer (0 = healthy)",
-                   static_cast<std::int64_t>(p.backoff_s * 1000.0), l);
-    snap.add_gauge("riblt_replica_peer_failures",
-                   "Consecutive failed rounds toward this peer",
-                   static_cast<std::int64_t>(p.failures), l);
-    snap.add_counter("riblt_replica_peer_converged_total",
-                     "Converged rounds with this peer", p.converged, l);
-    snap.add_gauge(
-        "riblt_replica_peer_last_success_s",
-        "Caller-clock time of the last converged round (-1 = never)",
-        static_cast<std::int64_t>(p.last_success), l);
-  }
-}
 
 template <Symbol T, typename Hasher = SipHasher<T>>
 class Replica {
@@ -186,18 +147,34 @@ class Replica {
       eng.clock = [this] { return now_; };
     }
     engine_ = std::make_unique<SyncEngine<T, Hasher>>(hasher_, eng);
-    // The engine already registered its cells against the same registry;
-    // these are the scheduler-tier additions. The caller clock may be
-    // simulated, so the gap histogram is "caller microseconds".
-    if (options_.engine.metrics != nullptr) {
-      const obs::Labels l{
-          {"replica", std::to_string(options_.replica_id)}};
-      obs_round_gap_us_ = &options_.engine.metrics->histogram(
+    // The engine already linked its cells into the same registry; these
+    // are the scheduler tier's, under {replica=id}. The caller clock may
+    // be simulated, so times are "caller microseconds".
+    if (obs::MetricsRegistry* m = options_.engine.metrics; m != nullptr) {
+      const obs::Labels l{{"replica", std::to_string(options_.replica_id)}};
+      const auto link = [&](const char* name, const char* help,
+                            const obs::Counter& cell) {
+        links_.push_back(m->link(name, help, l, cell));
+      };
+      link("riblt_replica_rounds_attempted_total",
+           "Outbound anti-entropy rounds opened", rounds_attempted_);
+      link("riblt_replica_rounds_converged_total",
+           "Rounds that completed and applied their diff",
+           rounds_converged_);
+      link("riblt_replica_rounds_aborted_total",
+           "Failed + deadline-aborted + link-down rounds", rounds_aborted_);
+      link("riblt_replica_retries_total",
+           "Rounds opened while a backoff was pending", retries_);
+      link("riblt_replica_items_applied_total",
+           "Items learned through anti-entropy", items_applied_);
+      link("riblt_replica_restarts_total", "Crash/restart cycles",
+           restarts_);
+      obs_round_gap_us_ = &m->histogram(
           "riblt_replica_round_gap_us",
           "Gap between successive converged rounds per peer "
           "(caller-clock microseconds)",
           l);
-      obs_backoff_ms_ = &options_.engine.metrics->histogram(
+      obs_backoff_ms_ = &m->histogram(
           "riblt_replica_backoff_ms",
           "Retry backoff scheduled after an aborted round (milliseconds)",
           l);
@@ -234,7 +211,9 @@ class Replica {
     if (peer_id == 0 || peer_id == options_.replica_id) {
       throw std::invalid_argument("Replica: bad peer id");
     }
-    Peer& p = peers_[peer_id];
+    const auto [it, inserted] = peers_.try_emplace(peer_id);
+    Peer& p = it->second;
+    if (inserted) link_peer(peer_id, p);
     p.id = peer_id;
     p.send = std::move(send);
     p.ready = std::move(ready);
@@ -352,11 +331,11 @@ class Replica {
     }
     serving_.clear();
     ++epoch_;
-    ++restarts_;
+    restarts_.inc();
     for (auto& [id, peer] : peers_) {
       peer.client.reset();
-      peer.backoff_s = 0;
-      peer.failures = 0;
+      peer.backoff_us.set(0);
+      peer.failures.set(0);
       peer.next_attempt = now_ + jittered(options_.sync_interval_s);
     }
   }
@@ -371,21 +350,21 @@ class Replica {
 
   [[nodiscard]] ReplicaStats stats() const {
     ReplicaStats out;
-    out.rounds_attempted = rounds_attempted_;
-    out.rounds_converged = rounds_converged_;
-    out.rounds_aborted = rounds_aborted_;
-    out.retries = retries_;
-    out.items_applied = items_applied_;
-    out.restarts = restarts_;
+    out.rounds_attempted = rounds_attempted_.load();
+    out.rounds_converged = rounds_converged_.load();
+    out.rounds_aborted = rounds_aborted_.load();
+    out.retries = retries_.load();
+    out.items_applied = items_applied_.load();
+    out.restarts = restarts_.load();
     out.engine = engine_->totals();
     out.peers.reserve(peers_.size());
     for (const auto& [id, peer] : peers_) {
       ReplicaPeerStats row;
       row.peer_id = id;
-      row.last_success = peer.last_success;
-      row.backoff_s = peer.backoff_s;
-      row.failures = peer.failures;
-      row.converged = peer.converged;
+      row.last_success = last_success_s(peer);
+      row.backoff_s = backoff_s(peer);
+      row.failures = static_cast<std::uint64_t>(peer.failures.load());
+      row.converged = peer.converged.load();
       out.peers.push_back(row);
     }
     return out;
@@ -413,11 +392,46 @@ class Replica {
     std::unique_ptr<SyncClient<T, Hasher>> client;  ///< in-flight round
     double started_at = 0;    ///< client HELLO time (deadline base)
     double next_attempt = 0;  ///< earliest next round open
-    double backoff_s = 0;     ///< current retry delay (0 = healthy)
-    std::uint64_t failures = 0;
-    std::uint64_t converged = 0;
-    double last_success = -1;
+    // Health cells, the one source of ReplicaPeerStats and of the
+    // riblt_replica_peer_* series (caller-clock microseconds).
+    obs::Gauge backoff_us;       ///< current retry delay (0 = healthy)
+    obs::Gauge failures;         ///< consecutive failed rounds
+    obs::Counter converged;
+    obs::Gauge last_success_us{-1};  ///< last converged round (-1 = never)
+    /// Declared last: unlinks before the cells above are destroyed.
+    std::vector<obs::MetricsRegistry::Link> links;
   };
+
+  /// Links a new peer's health cells under {replica=id, peer=peer_id}.
+  void link_peer(std::uint64_t peer_id, Peer& p) {
+    obs::MetricsRegistry* const m = options_.engine.metrics;
+    if (m == nullptr) return;
+    const obs::Labels l{{"replica", std::to_string(options_.replica_id)},
+                        {"peer", std::to_string(peer_id)}};
+    const auto link = [&](const char* name, const char* help,
+                          const auto& cell) {
+      p.links.push_back(m->link(name, help, l, cell));
+    };
+    link("riblt_replica_peer_backoff_us",
+         "Current retry delay toward this peer (0 = healthy)", p.backoff_us);
+    link("riblt_replica_peer_failures",
+         "Consecutive failed rounds toward this peer", p.failures);
+    link("riblt_replica_peer_converged_total",
+         "Converged rounds with this peer", p.converged);
+    link("riblt_replica_peer_last_success_us",
+         "Time of the last converged round (-1 = never)", p.last_success_us);
+  }
+
+  [[nodiscard]] static std::int64_t to_us(double s) noexcept {
+    return static_cast<std::int64_t>(std::llround(s * 1e6));
+  }
+  [[nodiscard]] static double backoff_s(const Peer& p) noexcept {
+    return static_cast<double>(p.backoff_us.load()) / 1e6;
+  }
+  [[nodiscard]] static double last_success_s(const Peer& p) noexcept {
+    const std::int64_t us = p.last_success_us.load();
+    return us < 0 ? -1.0 : static_cast<double>(us) / 1e6;
+  }
 
   void advance(double now) { now_ = now > now_ ? now : now_; }
 
@@ -543,13 +557,7 @@ class Replica {
                    std::span<const std::byte> frame) {
     auto replies =
         v2::answer_admin(sid, frame, options_.engine.metrics,
-                         options_.engine.tracer,
-                         [this](obs::MetricsSnapshot& snap) {
-                           append_replica_stats(
-                               snap, stats(),
-                               {{"replica",
-                                 std::to_string(options_.replica_id)}});
-                         })
+                         options_.engine.tracer)
             .first;
     for (auto& reply : replies) {
       if (!send_to(peer, std::move(reply))) return;
@@ -601,8 +609,8 @@ class Replica {
     engine_->for_each_item([&](const HashedSymbol<T>& hs) {
       client->add_hashed_item(hs);
     });
-    ++rounds_attempted_;
-    if (peer.backoff_s > 0) ++retries_;
+    rounds_attempted_.inc();
+    if (peer.backoff_us.load() > 0) retries_.inc();
     peer.started_at = now_;
     peer.client = std::move(client);
     auto hello = peer.client->hello();
@@ -615,21 +623,21 @@ class Replica {
     if (peer.client->complete()) {
       for (const T& item : peer.client->diff().remote) {
         if (engine_->add_item(item)) {
-          ++items_applied_;
+          items_applied_.inc();
           if (on_apply_) on_apply_(item, now_);
         }
       }
       peer.client.reset();
-      peer.failures = 0;
-      peer.backoff_s = 0;
-      ++peer.converged;
-      if (obs_round_gap_us_ != nullptr && peer.last_success >= 0 &&
-          now_ > peer.last_success) {
+      peer.failures.set(0);
+      peer.backoff_us.set(0);
+      peer.converged.inc();
+      const double last = last_success_s(peer);
+      if (obs_round_gap_us_ != nullptr && last >= 0 && now_ > last) {
         obs_round_gap_us_->record(
-            static_cast<std::uint64_t>((now_ - peer.last_success) * 1e6));
+            static_cast<std::uint64_t>((now_ - last) * 1e6));
       }
-      peer.last_success = now_;
-      ++rounds_converged_;
+      peer.last_success_us.set(to_us(now_));
+      rounds_converged_.inc();
       peer.next_attempt = now_ + jittered(options_.sync_interval_s);
     } else if (peer.client->failed()) {
       abort_round(peer, peer.client->error(), /*notify_server=*/false);
@@ -643,17 +651,17 @@ class Replica {
     if (!peer.client) return;
     const std::uint64_t sid = peer.client->session_id();
     peer.client.reset();
-    ++rounds_aborted_;
-    ++peer.failures;
-    peer.backoff_s = peer.backoff_s <= 0
-                         ? options_.backoff_base_s
-                         : std::min(2.0 * peer.backoff_s,
-                                    options_.backoff_cap_s);
+    rounds_aborted_.inc();
+    peer.failures.add(1);
+    const double prev = backoff_s(peer);
+    const double backoff = prev <= 0 ? options_.backoff_base_s
+                                     : std::min(2.0 * prev,
+                                                options_.backoff_cap_s);
+    peer.backoff_us.set(to_us(backoff));
     if (obs_backoff_ms_ != nullptr) {
-      obs_backoff_ms_->record(
-          static_cast<std::uint64_t>(peer.backoff_s * 1000.0));
+      obs_backoff_ms_->record(static_cast<std::uint64_t>(backoff * 1000.0));
     }
-    peer.next_attempt = now_ + jittered(peer.backoff_s);
+    peer.next_attempt = now_ + jittered(backoff);
     if (notify_server) {
       (void)send_to(peer, v2::make_error_frame(sid, reason));
     }
@@ -671,15 +679,19 @@ class Replica {
   std::uint64_t seq_ = 0;
   ApplyFn on_apply_;
 
-  std::uint64_t rounds_attempted_ = 0;
-  std::uint64_t rounds_converged_ = 0;
-  std::uint64_t rounds_aborted_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t items_applied_ = 0;
-  std::uint64_t restarts_ = 0;
-  /// Registry handles (null = untapped); bound in the constructor.
+  // Lifetime cells, the one source of ReplicaStats and of the
+  // riblt_replica_* series.
+  obs::Counter rounds_attempted_;
+  obs::Counter rounds_converged_;
+  obs::Counter rounds_aborted_;
+  obs::Counter retries_;
+  obs::Counter items_applied_;
+  obs::Counter restarts_;
+  /// Registry histograms (null = untapped); bound in the constructor.
   obs::Histogram* obs_round_gap_us_ = nullptr;
   obs::Histogram* obs_backoff_ms_ = nullptr;
+  /// Declared last: unlinks before the cells above are destroyed.
+  std::vector<obs::MetricsRegistry::Link> links_;
 };
 
 }  // namespace ribltx::sync

@@ -29,7 +29,8 @@
 // entirely -- SyncEngine's ingest surface is internally synchronized
 // (striped index, lock-free cache churn, per-lane probes), so any number
 // of writer threads can churn a shard while its worker streams sessions;
-// only the session machinery (and stats()) takes the shard locks.
+// only the session machinery takes the shard locks (stats() is plain
+// loads of the engines' cells and takes none).
 //
 // bench/extra_shard_scaling.cpp measures sessions/sec against shard count;
 // tests/test_sharded.cpp holds the parity and threaded-smoke coverage.
@@ -65,7 +66,8 @@ namespace ribltx::sync {
       ((hash >> 32) * static_cast<std::uint64_t>(shard_count)) >> 32);
 }
 
-/// Cross-shard stats roll-up (per shard plus totals).
+/// Cross-shard stats roll-up (per shard plus totals): loads of each shard
+/// engine's cells, its protocol-error counter, and its live item count.
 struct ShardedStats {
   struct PerShard {
     std::size_t items = 0;
@@ -105,12 +107,18 @@ class ShardedEngine {
       shard_options.shard_count = static_cast<std::uint32_t>(shard_count);
       shards_.push_back(std::make_unique<Shard>(hasher_, shard_options));
     }
-    // The per-shard engines each bind their cells against the same
-    // registry; dedup on (name, labels) makes those process-wide, so the
-    // roll-up stays additive across shards. The router adds one family of
-    // its own: inbox depth per worker wakeup (the queue the serving
+    // The per-shard engines each link their cells under the same keys,
+    // which the registry sums, so the roll-up stays additive across
+    // shards. The router adds its protocol-error counters and one
+    // histogram: inbox depth per worker wakeup (the queue the serving
     // threads feed and the shard workers drain).
     if (options.metrics != nullptr) {
+      for (const auto& sh : shards_) {
+        links_.push_back(options.metrics->link(
+            "riblt_shard_protocol_errors_total",
+            "Frames a shard worker dropped as unattributable", {},
+            sh->protocol_errors));
+      }
       obs_inbox_depth_ = &options.metrics->histogram(
           "riblt_shard_inbox_depth",
           "Frames drained per shard worker wakeup (non-empty drains)");
@@ -124,6 +132,16 @@ class ShardedEngine {
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
+  }
+
+  /// The observability taps every shard engine was built with (null =
+  /// untapped); a server serving this engine scrapes and traces through
+  /// the same ones.
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return shards_.front()->engine.metrics();
+  }
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return shards_.front()->engine.tracer();
   }
 
   /// The shard an item routes to (what a client must compute identically).
@@ -258,30 +276,22 @@ class ShardedEngine {
     sh.cv.notify_one();
   }
 
-  /// Locks each shard in turn and aggregates items/sessions/bytes.
-  ///
-  /// Snapshot consistency: each PerShard row is exact at the instant its
-  /// shard lock was held (modulo the relaxed ingest counters documented
-  /// on SyncEngine::totals()), but the shards are sampled sequentially --
-  /// the cross-shard totals are a *smear*, not one instant. Every row is
-  /// internally consistent and monotone fields never run backwards
-  /// between successive calls; invariants that span shards (e.g.
-  /// sessions == done + failed + active summed across shards) can be
-  /// transiently off while workers retire sessions mid-walk. Same
-  /// bracketing contract as obs::MetricsRegistry::snapshot().
+  /// Aggregates items/sessions/bytes across shards without taking any
+  /// shard lock: every field is a relaxed load of a shard's cells (or its
+  /// live item count). Consistency: each field is torn-free and monotone
+  /// fields never run backwards between successive calls, but a sample
+  /// taken while workers run is a smear -- invariants that span cells
+  /// (sessions == done + failed + active) can be transiently off by the
+  /// sessions in flight. Same bracketing contract as
+  /// obs::MetricsRegistry::snapshot().
   [[nodiscard]] ShardedStats stats() const {
     ShardedStats out;
     out.shards.reserve(shards_.size());
     for (const auto& sh : shards_) {
       ShardedStats::PerShard row;
-      {
-        const std::lock_guard<std::mutex> lk(sh->mu);
-        row.items = sh->engine.item_count();
-        row.protocol_errors = sh->protocol_errors;
-        // Lifetime view: engine totals already include every session the
-        // worker retired (close_session folds into the engine accumulator).
-        row.totals = sh->engine.totals();
-      }
+      row.items = sh->engine.item_count();
+      row.protocol_errors = sh->protocol_errors.load();
+      row.totals = sh->engine.totals();
       out.items += row.items;
       out.protocol_errors += row.protocol_errors;
       out.totals += row.totals;
@@ -301,7 +311,7 @@ class ShardedEngine {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<std::vector<std::byte>> inbox;
-    std::size_t protocol_errors = 0;
+    obs::Counter protocol_errors;  ///< bumped by this shard's worker only
     bool stop = false;
     std::thread thread;
   };
@@ -385,7 +395,7 @@ class ShardedEngine {
             // No transport to throw to on the worker: count and drop (the
             // sync path surfaces the same error to the submitter) -- and a
             // rejected HELLO must not keep its route recording.
-            ++sh.protocol_errors;
+            sh.protocol_errors.inc_serial();
             if (is_hello(frame)) {
               try {
                 drop_route(v2::peek_session_id(frame));
@@ -396,7 +406,7 @@ class ShardedEngine {
           }
         }
         // Reap sessions whose peers went silent past the idle deadline:
-        // the engine fails + folds them and hands back ERROR frames, which
+        // the engine fails + retires them and hands back ERROR frames, which
         // go to the sink like any reply so the (possibly half-dead) peer
         // hears why its session died; the routes drop below with the rest.
         retire.clear();
@@ -407,8 +417,8 @@ class ShardedEngine {
         // One frame per active session per round keeps sessions fair and
         // bounds how far the server runs ahead of in-flight DONEs.
         // Sessions that reached a terminal state retire immediately --
-        // close_session folds their accounting into the engine's lifetime
-        // totals and their route entries are dropped, so a long-running
+        // close_session records their per-session histograms and their
+        // route entries are dropped, so a long-running
         // server neither re-scans dead sessions every round nor runs
         // into the max_sessions cap from sessions long finished.
         for (const std::uint64_t sid : sh.engine.session_ids()) {
@@ -434,8 +444,7 @@ class ShardedEngine {
         try {
           sink_(std::move(frame));
         } catch (const std::exception&) {
-          const std::lock_guard<std::mutex> lk(sh.mu);
-          ++sh.protocol_errors;
+          sh.protocol_errors.inc_serial();
         }
       }
       outgoing.clear();
@@ -450,6 +459,8 @@ class ShardedEngine {
   Sink sink_;
   std::atomic<bool> running_{false};
   obs::Histogram* obs_inbox_depth_ = nullptr;  ///< null = untapped
+  /// Declared after shards_: unlinks before the counters it exports die.
+  std::vector<obs::MetricsRegistry::Link> links_;
 };
 
 /// Client-side counterpart: splits one local set across K per-shard

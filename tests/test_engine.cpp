@@ -543,7 +543,7 @@ TEST(Engine, ChurnKeepsConcurrentSessionsOnTheirSnapshots) {
     // Both sessions closed: the cache journal shrinks back to nothing.
     CHECK(engine.close_session(1));
     CHECK(engine.close_session(2));
-    CHECK_EQ(engine.cache_journal_size(), 0u);
+    CHECK_EQ(engine.totals().journal_depth, 0u);
   }
 }
 
@@ -941,7 +941,7 @@ TEST(Engine, SessionLimitShedsOldestIdleInsteadOfRejecting) {
   CHECK(engine.session(1) == nullptr);  // evicted and retired
   CHECK(!engine.close_session(1));
 
-  // The evicted session folds into the lifetime totals as failed.
+  // The evicted session counts in the lifetime totals as failed.
   const EngineTotals t = engine.totals();
   CHECK_EQ(t.sessions_evicted, 1u);
   CHECK_EQ(t.sessions, 3u);

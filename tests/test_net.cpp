@@ -234,8 +234,8 @@ SERVER_TEST(AdaptiveSessionOverLoopbackBoundsOvershoot) {
   }
   server.stop();
 
-  // The overshoot bound, measured server-side (retired sessions fold into
-  // the roll-up): emitted frame bytes <= consumed payload + frame headers
+  // The overshoot bound, measured server-side (the roll-up counts retired
+  // sessions too): emitted frame bytes <= consumed payload + frame headers
   // + two pacing runways.
   const sync::ShardedStats stats = engine.stats();
   CHECK_EQ(stats.totals.done, 1u);
@@ -409,8 +409,8 @@ SERVER_TEST(DisconnectAbortsTheEngineSession) {
 }
 
 // An abrupt peer crash mid-rateless-stream must reclaim everything the
-// connection pinned -- the engine session (aborted in-band and folded into
-// the retired accumulator as a failure), the sid->connection route (gauge
+// connection pinned -- the engine session (aborted in-band and counted as
+// a failure), the sid->connection route (gauge
 // back to zero), and the connection itself (accepted == closed) -- with no
 // further frames generated for the dead sid.
 SERVER_TEST(MidSessionCrashReclaimsRoutesAndSession) {

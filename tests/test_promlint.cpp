@@ -94,9 +94,11 @@ TEST(PromLint, RegistryRenderingAlwaysLints) {
   // Everything the registry can hold renders to lint-clean text,
   // including empty histograms and label values needing escaping.
   obs::MetricsRegistry reg;
-  reg.counter("a_total", "with \"quotes\" and \\slashes\\",
-              {{"k", "va\"l\nue"}})
-      .inc(3);
+  obs::Counter a;
+  a.inc(3);
+  const obs::MetricsRegistry::Link link =
+      reg.link("a_total", "with \"quotes\" and \\slashes\\",
+               {{"k", "va\"l\nue"}}, a);
   (void)reg.histogram("empty_us", "never recorded");
   obs::Histogram& h = reg.histogram("busy_us", "recorded");
   for (std::uint64_t v = 0; v < 2000; ++v) h.record(v * v);
@@ -120,10 +122,7 @@ void live_scrape_roundtrip(const char* server_label) {
   const auto w = make_set_pair<Item8>(500, 20, 15, 99);
   for (const auto& x : w.a) engine.add_item(x);
 
-  SocketServerOptions options;
-  options.metrics = &reg;
-  options.tracer = &tracer;
-  Server server(engine, options);
+  Server server(engine);  // taps come from the engine
   server.start();
 
   // Load generator: back-to-back sessions on one connection until told
@@ -154,16 +153,18 @@ void live_scrape_roundtrip(const char* server_label) {
   const auto text = scrape(admin, "METRICS");
   ASSERT_TRUE(text.has_value());
   ASSERT_EQ(obs::lint_prometheus(*text), "") << text->substr(0, 400);
-  // Engine tier moved (registry cells) ...
+  // Engine tier (linked engine cells) ...
   ASSERT_NE(text->find("riblt_sessions_opened_total{backend=\"riblt\"}"),
             std::string::npos);
-  // ... transport tier composed (thin view over SocketServerStats) ...
+  ASSERT_NE(text->find("riblt_sessions_active"), std::string::npos);
+  ASSERT_NE(text->find("riblt_bytes_to_peers_total"), std::string::npos);
+  // ... transport tier (linked server cells) ...
   ASSERT_NE(text->find("riblt_server_frames_in_total"), std::string::npos);
   ASSERT_NE(
       text->find(std::string("server=\"") + server_label + "\""),
       std::string::npos);
-  // ... engine roll-up composed, and histograms render with buckets.
-  ASSERT_NE(text->find("riblt_engine_sessions_total"), std::string::npos);
+  // ... one name per fact, and histograms render with buckets.
+  ASSERT_EQ(text->find("riblt_engine_"), std::string::npos);
   ASSERT_NE(text->find("riblt_session_bytes_to_peer_bucket"),
             std::string::npos);
   // The opened counter is live (nonzero): every line for it parses as
@@ -257,18 +258,19 @@ void check_admin_replies(const AdminCase& c, std::uint64_t sid,
 /// Drives the table against `Server` over one connection. The replies to
 /// each request are read up to their terminator (an ERROR or the final
 /// ADMIN_REPLY); a stray extra frame would carry the previous case's sid
-/// into the next case's replies, and a silent wait closes the table.
+/// into the next case's replies, and a silent wait closes the table. The
+/// server takes its taps from the engine it serves.
 template <typename Server>
 void admin_table_over_socket(bool tapped) {
   obs::MetricsRegistry reg;
   obs::Tracer tracer;
-  sync::ShardedEngine<Item8> engine(1);
-  SocketServerOptions options;
+  sync::EngineOptions engine_options;
   if (tapped) {
-    options.metrics = &reg;
-    options.tracer = &tracer;
+    engine_options.metrics = &reg;
+    engine_options.tracer = &tracer;
   }
-  Server server(engine, options);
+  sync::ShardedEngine<Item8> engine(1, {}, engine_options);
+  Server server(engine);
   server.start();
   SocketClient sock(server.port());
   const std::vector<AdminCase> cases = admin_cases(tapped);
@@ -365,7 +367,10 @@ TEST(PromLint, ReplicaAdminTapServesRegistryAndPeerRows) {
   ASSERT_NE(body.find("riblt_replica_rounds_attempted_total"),
             std::string::npos);
   ASSERT_NE(body.find("peer=\"2\""), std::string::npos);
-  ASSERT_NE(body.find("riblt_engine_items_added_total"), std::string::npos);
+  ASSERT_NE(body.find("riblt_replica_peer_last_success_us"),
+            std::string::npos);
+  ASSERT_NE(body.find("riblt_items_added_total"), std::string::npos);
+  ASSERT_EQ(body.find("riblt_engine_"), std::string::npos);
 
   // Unknown verb -> in-band ERROR frame back to the peer.
   outbox.clear();
