@@ -204,10 +204,10 @@ double bootstrap_median_upper90(const std::vector<double>& xs,
 /// slows both halves of a trial alike instead of whichever ran during
 /// the disturbance, and preemption is not counted at all. Each trial
 /// yields one paired overhead sample; the <= 2% acceptance bar judges
-/// their MEDIAN. (An earlier version timed whole back-to-back runs in
-/// wall time and gated the minimum, which swung to -9% and below on a
-/// loaded machine and so could not see a real 2-5% regression.) The
-/// bootstrap 90% upper bound on the median is printed beside it. The
+/// their MEDIAN: the minimum of whole back-to-back wall-time runs swings
+/// to -9% and below on a loaded machine, so it cannot see a real 2-5%
+/// regression. The bootstrap 90% upper bound on the median is printed
+/// beside it. The
 /// attached engines record into `reg`, which the caller reads for the
 /// snapshot-path quantile report.
 OverheadResult measure_obs_overhead(std::size_t n, std::size_t sessions,

@@ -41,8 +41,10 @@ METRICS_LOWER_NOISY = {
     "cpu_s", "hello_us", "churn_us", "build_s", "wall_s",
     # Serving bench observability gate: instrumentation attached-vs-
     # detached delta in percent (can be slightly negative; the bench
-    # itself enforces the 2% ceiling, the trend just tracks drift).
-    "obs_overhead_pct",
+    # itself enforces the 2% ceiling, the trend just tracks drift). The
+    # bootstrap upper bound beside it changes every run, so it must be a
+    # metric too or it would land in the row key and unmatch the row.
+    "obs_overhead_pct", "obs_overhead_upper90_pct",
     "riblt_s", "pinsketch_s",
     "p50_ms", "p99_ms",  # transport sync latency (loopback jitter is real)
     # Connection-sweep serving cost: syscalls per session is mostly

@@ -203,7 +203,6 @@ class ServingCore {
       leftover.swap(conns_);
       routes_.clear();
     }
-    routes_live_.set(0);
     for (auto& [key, conn] : leftover) {
       conn->io.close();
       closed_.inc();
@@ -230,7 +229,7 @@ class ServingCore {
     out.syscalls_wait = syscalls_wait_.load();
     out.wakeups = wakeups_.load();
     out.sqe_submits = sqe_submits_.load();
-    out.routes = static_cast<std::uint64_t>(routes_live_.load());
+    out.routes = static_cast<std::uint64_t>(routes_.size().load());
     return out;
   }
 
@@ -382,7 +381,6 @@ class ServingCore {
           ++it;
         }
       }
-      routes_live_.set(static_cast<std::int64_t>(routes_.size()));
     }
     // Abort the engine side of every session this connection still owned:
     // without this, a rateless session stays kActive forever, its shard
@@ -463,7 +461,7 @@ class ServingCore {
     link("riblt_server_sqe_submits_total",
          "SQEs handed to the kernel (uring)", sqe_submits_, server);
     link("riblt_server_routes", "Live session-to-connection routes",
-         routes_live_, server);
+         routes_.size(), server);
     obs_conduit_depth_ = &m.histogram(
         "riblt_server_conduit_pending_bytes",
         "Bytes queued in a connection's conduit after a flush", server);
@@ -592,7 +590,6 @@ class ServingCore {
       // the live session.
       const std::lock_guard<std::mutex> lk(conns_mu_);
       const auto [it, inserted] = routes_.emplace(sid, conn);
-      routes_live_.set(static_cast<std::int64_t>(routes_.size()));
       if (!inserted && it->second.get() != conn.get()) {
         protocol_errors_.inc();
         stage_local(conn, sync::v2::make_error_frame(
@@ -628,7 +625,6 @@ class ServingCore {
     const auto it = routes_.find(sid);
     if (it != routes_.end() && it->second.get() == &conn) {
       routes_.erase(it);
-      routes_live_.set(static_cast<std::int64_t>(routes_.size()));
     }
   }
 
@@ -654,7 +650,38 @@ class ServingCore {
 
   mutable std::mutex conns_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> routes_;  ///< sid->
+  /// sid -> owning connection. Every insert and erase goes through here,
+  /// and each moves the table's size gauge once -- the one cell both
+  /// stats().routes and riblt_server_routes read.
+  class RouteTable {
+   public:
+    using Map = std::unordered_map<std::uint64_t, std::shared_ptr<Conn>>;
+    using iterator = typename Map::iterator;
+
+    std::pair<iterator, bool> emplace(std::uint64_t sid,
+                                      const std::shared_ptr<Conn>& conn) {
+      auto r = map_.emplace(sid, conn);
+      if (r.second) size_.add(1);
+      return r;
+    }
+    iterator erase(iterator it) {
+      size_.add(-1);
+      return map_.erase(it);
+    }
+    void clear() {
+      size_.add(-static_cast<std::int64_t>(map_.size()));
+      map_.clear();
+    }
+    iterator find(std::uint64_t sid) { return map_.find(sid); }
+    iterator begin() { return map_.begin(); }
+    iterator end() { return map_.end(); }
+    [[nodiscard]] const obs::Gauge& size() const noexcept { return size_; }
+
+   private:
+    Map map_;
+    obs::Gauge size_;
+  };
+  RouteTable routes_;  ///< guarded by conns_mu_
   /// Loop thread only. Keys 0 and 1 are left to the loop's own event
   /// sources (listener, wakeup).
   std::uint64_t next_conn_key_ = 2;
@@ -676,7 +703,6 @@ class ServingCore {
   obs::Counter dropped_;
   obs::Counter protocol_errors_;
   obs::Counter wakeups_;
-  obs::Gauge routes_live_;  ///< routes_.size(), set under conns_mu_
   obs::Histogram* obs_conduit_depth_ = nullptr;  ///< null = untapped
   /// Declared last: unlinks before any cell it exports is destroyed.
   std::vector<obs::MetricsRegistry::Link> links_;

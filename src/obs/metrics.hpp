@@ -74,13 +74,6 @@ struct alignas(64) Counter {
   void inc(std::uint64_t d = 1) noexcept {
     v.fetch_add(d, std::memory_order_relaxed);
   }
-  /// Increment for a cell whose writers are already serialized (one
-  /// owning thread, or a lock every writer holds): a relaxed load and
-  /// store instead of a read-modify-write. Readers stay race-free --
-  /// both halves are atomic -- but two unserialized writers lose counts.
-  void inc_serial(std::uint64_t d = 1) noexcept {
-    v.store(v.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t load() const noexcept {
     return v.load(std::memory_order_relaxed);
   }

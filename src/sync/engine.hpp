@@ -650,7 +650,7 @@ class SyncEngine {
         const auto opened =
             sessions_.emplace(frame.session_id, std::move(session)).first;
         received(opened->second, data.size());
-        cells(backend).opened.inc_serial();
+        cells(backend).opened.inc();
         active_.add(1);
         trace(obs::TraceKind::kOpen, frame.session_id, backend, d_est,
               pace_cap, opened_at);
@@ -697,7 +697,7 @@ class SyncEngine {
           session.encoder->handle_round_request(frame.payload);
           if (cpu != nullptr) cpu->record(steady_us() - t0);
           ++session.stats.rounds;
-          rounds_.inc_serial();
+          rounds_.inc();
           trace(obs::TraceKind::kRound, frame.session_id,
                 session.stats.backend, session.stats.rounds);
         } catch (const std::exception& e) {
@@ -809,8 +809,8 @@ class SyncEngine {
     auto encoded = v2::encode_frame(frame);
     session.stats.bytes_to_peer += encoded.size();
     ++session.stats.frames_sent;
-    bytes_to_peers_.inc_serial(encoded.size());
-    frames_sent_.inc_serial();
+    bytes_to_peers_.inc(encoded.size());
+    frames_sent_.inc();
     return encoded;
   }
 
@@ -898,7 +898,7 @@ class SyncEngine {
         finish(s, SessionState::kFailed, "idle session reaped");
         reaped.emplace_back(it->first,
                             v2::make_error_frame(it->first, s.stats.error));
-        reaped_.inc_serial();
+        reaped_.inc();
         trace(obs::TraceKind::kReap, it->first, s.stats.backend,
               s.stats.bytes_to_peer);
         retire(it++);
@@ -1053,14 +1053,14 @@ class SyncEngine {
     session.stats.state = state;
     session.stats.error = std::move(error);
     BackendCells& c = cells(session.stats.backend);
-    (state == SessionState::kDone ? c.done : c.failed).inc_serial();
+    (state == SessionState::kDone ? c.done : c.failed).inc();
     active_.add(-1);
   }
 
   /// Inbound bytes attributed to a session.
   void received(Session& session, std::size_t bytes) {
     session.stats.bytes_from_peer += bytes;
-    bytes_from_peers_.inc_serial(bytes);
+    bytes_from_peers_.inc(bytes);
   }
 
   /// Erases a session, recording its per-session histograms. A session
@@ -1102,7 +1102,7 @@ class SyncEngine {
     finish(victim->second, SessionState::kFailed, "evicted at session cap");
     out.push_back(
         v2::make_error_frame(victim->first, victim->second.stats.error));
-    evicted_.inc_serial();
+    evicted_.inc();
     trace(obs::TraceKind::kEvict, victim->first,
           victim->second.stats.backend, victim->second.stats.bytes_to_peer);
     retire(victim);
@@ -1237,8 +1237,7 @@ class SyncEngine {
   std::vector<std::unique_ptr<ProbeLane>> probe_lanes_;
   adaptive::PeerEwma peer_ewma_;  ///< per-peer diff history (adaptive)
   // Lifetime cells, the one source of EngineTotals and of the registry's
-  // engine series. Session-surface cells are bumped with inc_serial (the
-  // caller serializes that surface); the ingest pair is multi-writer.
+  // engine series.
   std::array<BackendCells, 5> cells_{};
   obs::Gauge active_;
   obs::Counter bytes_to_peers_;

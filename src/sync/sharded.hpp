@@ -395,7 +395,7 @@ class ShardedEngine {
             // No transport to throw to on the worker: count and drop (the
             // sync path surfaces the same error to the submitter) -- and a
             // rejected HELLO must not keep its route recording.
-            sh.protocol_errors.inc_serial();
+            sh.protocol_errors.inc();
             if (is_hello(frame)) {
               try {
                 drop_route(v2::peek_session_id(frame));
@@ -444,7 +444,7 @@ class ShardedEngine {
         try {
           sink_(std::move(frame));
         } catch (const std::exception&) {
-          sh.protocol_errors.inc_serial();
+          sh.protocol_errors.inc();
         }
       }
       outgoing.clear();

@@ -432,6 +432,7 @@ SERVER_TEST(MidSessionCrashReclaimsRoutesAndSession) {
       auto f = sock.recv_frame(/*timeout_s=*/20.0);
       REQUIRE(f.has_value());
     }
+    CHECK_EQ(server.stats().routes, 1u);  // the HELLO's route is live
   }  // abrupt close: no DONE, no in-band goodbye
 
   bool reclaimed = false;
