@@ -35,9 +35,15 @@
 // Error containment mirrors the engine contract: a frame whose routing
 // prefix cannot be parsed poisons only its connection (framing is intact,
 // so it is a hostile/broken client, and with no session id there is nobody
-// to ERROR); a frame the router rejects (unknown session, bad topology)
-// gets a v2 ERROR frame back on its connection; failures inside an
-// established session already produce in-band ERROR frames from the engine.
+// to ERROR); a frame the loop rejects (no route on its connection, or a
+// HELLO with a bad topology or for a routed sid) gets a v2 ERROR frame back
+// on its connection; whatever the shard engine rejects or fails comes back
+// as an in-band ERROR from the shard worker.
+//
+// The sid -> connection reply routes are the only per-session state the
+// TCP path keeps. Only a HELLO creates one, and it ends with its session:
+// at the peer's DONE or ERROR, at any ERROR the engine sends, or when the
+// connection closes.
 #pragma once
 
 #include <atomic>
@@ -78,10 +84,11 @@ struct SocketServerOptions {
   std::size_t max_frame = FrameConduit::kDefaultMaxFrame;
   /// Longest a shard worker's sink blocks on one connection's backpressure
   /// before the connection is doomed and closed (a peer that stops reading
-  /// would otherwise wedge its shard's worker forever -- and with it every
-  /// other session on that shard, including the idle-reap sweep). 0 keeps
-  /// the historical wait-forever behavior.
-  double sink_timeout_s = 0;
+  /// would otherwise wedge its shard's worker -- and with it every other
+  /// session on that shard, including the idle-reap sweep). Must be > 0;
+  /// the default is a client's usual receive deadline, far above a
+  /// loopback stall (~200 ms).
+  double sink_timeout_s = 10;
   /// UringServer-only knobs (the epoll server ignores them): disable the
   /// provided-buffer-ring multishot recv or the MSG_RING wakeup to force
   /// the single-shot recv / eventfd fallback paths without an old kernel.
@@ -246,6 +253,9 @@ class ServingCore {
     if (options_.low_watermark >= options_.high_watermark) {
       throw std::invalid_argument(name() + ": watermarks out of order");
     }
+    if (!(options_.sink_timeout_s > 0)) {
+      throw std::invalid_argument(name() + ": sink timeout must be positive");
+    }
     if (obs::MetricsRegistry* m = engine_.metrics(); m != nullptr) {
       bind_metrics(*m);
     }
@@ -388,13 +398,10 @@ class ServingCore {
     // disconnect pinned a core and generated ~160k dropped frames/sec).
     // A synthetic in-band ERROR is FIFO-correct even when the session's
     // HELLO is still queued in the shard inbox -- the worker opens the
-    // session, then fails and retires it on the very next frame.
+    // session, then fails and retires it on the very next frame -- and a
+    // no-op for a session the engine already retired.
     for (const std::uint64_t sid : orphaned) {
-      try {
-        engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
-      } catch (const sync::ProtocolError&) {
-        // Router no longer knows the session (already retired): done.
-      }
+      engine_.submit(sync::v2::make_error_frame(sid, "peer disconnected"));
     }
     return true;
   }
@@ -471,7 +478,8 @@ class ServingCore {
 
   /// Delivery callback running on the shard workers. Blocking here is the
   /// designed backpressure: the worker stops pumping this shard's sessions
-  /// until the peer's socket drains.
+  /// until the peer's socket drains. An ERROR ends its session on the
+  /// server side, so its route ends in the same lookup.
   void sink(std::vector<std::byte> frame) {
     std::uint64_t sid = 0;
     try {
@@ -484,7 +492,13 @@ class ServingCore {
     {
       const std::lock_guard<std::mutex> lk(conns_mu_);
       const auto it = routes_.find(sid);
-      if (it != routes_.end()) conn = it->second;
+      if (it != routes_.end()) {
+        conn = it->second;
+        if (static_cast<sync::v2::FrameType>(frame[0]) ==
+            sync::v2::FrameType::kError) {
+          routes_.erase(it);
+        }
+      }
     }
     if (!conn) {
       dropped_.inc();
@@ -499,15 +513,9 @@ class ServingCore {
                        conn->conduit_pending.load(std::memory_order_acquire) <
                    options_.high_watermark;
       };
-      bool woke = true;
-      if (options_.sink_timeout_s > 0) {
-        woke = conn->cv.wait_for(
-            lk, std::chrono::duration<double>(options_.sink_timeout_s),
-            drained);
-      } else {
-        conn->cv.wait(lk, drained);
-      }
-      if (!woke) {
+      if (!conn->cv.wait_for(
+              lk, std::chrono::duration<double>(options_.sink_timeout_s),
+              drained)) {
         // The peer sat above the high watermark for the whole timeout: it
         // stopped reading. Doom the connection and move on -- the loop
         // thread closes it (which aborts its sessions in-band), and this
@@ -569,8 +577,9 @@ class ServingCore {
       loop().close_conn(conn);  // valid framing, unparseable routing: hostile
       return false;
     }
-    const auto type = static_cast<std::uint8_t>(frame[0]);
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kAdmin)) {
+    using sync::v2::FrameType;
+    const auto type = static_cast<FrameType>(frame[0]);
+    if (type == FrameType::kAdmin) {
       // Observability verbs are transport-level: answered here on the loop
       // thread, never submitted to the engine (which rejects them) and
       // never recorded in the reply routes -- the chunked ADMIN_REPLY
@@ -582,50 +591,50 @@ class ServingCore {
       for (auto& reply : replies) stage_local(conn, std::move(reply));
       return true;
     }
-    bool inserted_route = false;
+    std::string reject;
     {
-      // Record the reply route up front: the HELLO_ACK can race out of the
-      // shard worker before submit() returns. A sid already routed to a
-      // DIFFERENT connection is a hijack attempt: reject without touching
-      // the live session.
+      // Only a HELLO creates a route, and up front: the HELLO_ACK can race
+      // out of the shard worker before submit() returns. Every other frame
+      // needs this connection's route; a rejected frame leaves the routes
+      // as they were, so neither a hijack attempt (the sid is routed to a
+      // DIFFERENT connection) nor a duplicate HELLO severs a live session.
       const std::lock_guard<std::mutex> lk(conns_mu_);
-      const auto [it, inserted] = routes_.emplace(sid, conn);
-      if (!inserted && it->second.get() != conn.get()) {
-        protocol_errors_.inc();
-        stage_local(conn, sync::v2::make_error_frame(
-                              sid, "session belongs to another connection"));
-        return true;
+      const auto it = routes_.find(sid);
+      const bool own = it != routes_.end() && it->second == conn;
+      if (it != routes_.end() && !own) {
+        reject = "session belongs to another connection";
+      } else if (type == FrameType::kHello) {
+        if (own) {
+          reject = "duplicate HELLO for session";
+        } else {
+          routes_.emplace(sid, conn);
+        }
+      } else if (!own) {
+        // An ERROR for a session that already ended needs no answer.
+        if (type == FrameType::kError) return true;
+        reject = "unknown session id";
+      } else if (type == FrameType::kDone || type == FrameType::kError) {
+        // The client ended the session; nothing meaningful flows back.
+        routes_.erase(it);
       }
-      inserted_route = inserted;
     }
-    try {
-      engine_.submit(std::move(frame));
-    } catch (const sync::ProtocolError& e) {
-      // Router-level reject (bad topology, unknown session, duplicate
-      // HELLO): contained to this session; tell the peer in-band. Only a
-      // route THIS frame created is undone -- a duplicate HELLO must not
-      // sever the live session's reply route.
+    if (reject.empty()) {
+      try {
+        engine_.submit(std::move(frame));
+      } catch (const sync::ProtocolError& e) {
+        // Only a HELLO can fail here (bad topology): undo its route.
+        const std::lock_guard<std::mutex> lk(conns_mu_);
+        if (const auto it = routes_.find(sid); it != routes_.end()) {
+          routes_.erase(it);
+        }
+        reject = e.what();
+      }
+    }
+    if (!reject.empty()) {
       protocol_errors_.inc();
-      if (inserted_route) drop_route_if_self(sid, *conn);
-      stage_local(conn, sync::v2::make_error_frame(sid, e.what()));
-      return true;
-    }
-    if (type == static_cast<std::uint8_t>(sync::v2::FrameType::kDone) ||
-        type == static_cast<std::uint8_t>(sync::v2::FrameType::kError)) {
-      // The client ended the session; nothing meaningful flows back. The
-      // engine-side session went terminal on the same frame, so the worker
-      // retires it -- no abort needed.
-      drop_route_if_self(sid, *conn);
+      stage_local(conn, sync::v2::make_error_frame(sid, reject));
     }
     return true;
-  }
-
-  void drop_route_if_self(std::uint64_t sid, const Conn& conn) {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    const auto it = routes_.find(sid);
-    if (it != routes_.end() && it->second.get() == &conn) {
-      routes_.erase(it);
-    }
   }
 
   /// Stages a loop-generated frame (ERROR and ADMIN replies) onto `conn`,

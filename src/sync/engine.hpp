@@ -13,7 +13,8 @@
 //   HELLO     c->s  0x11 | uvarint sid | u8 ver | u8 backend |
 //                   u32 item_size | u8 checksum_len | u8 flags
 //                   [flags & 0x01 (sharded): uvarint shard_index |
-//                    uvarint shard_count -- see sync/sharded.hpp]
+//                    uvarint shard_count, where shard_index must equal
+//                    (sid - 1) mod shard_count -- see sync/sharded.hpp]
 //                   [flags & 0x02: request §6 count residuals]
 //   HELLO_ACK s->c  0x12 | uvarint sid | u8 backend | u8 checksum_len |
 //                   u8 flags [flags & 0x02: uvarint anchor_set_size]
@@ -44,7 +45,9 @@
 //
 // Error containment: frames that cannot be attributed to a healthy session
 // (garbage, unknown/zero session ids, duplicate HELLOs, failed
-// negotiation) throw ProtocolError to the transport that delivered them.
+// negotiation) throw ProtocolError to the transport that delivered them --
+// except a peer's ERROR for a session this engine does not hold, which is a
+// no-op: that session has already ended.
 // Failures *inside* an established session (a backend rejecting a round
 // request, a malformed SYMBOLS/ROUND payload, a codec that cannot extend
 // further) mark only that session kFailed on both ends and produce an
@@ -89,9 +92,10 @@ inline constexpr std::uint8_t kVersion = 2;
 
 /// HELLO flag bit: the frame carries `uvarint shard_index | uvarint
 /// shard_count` after the flags byte. A client talking to a ShardedEngine
-/// splits its set with shard_of_hash() and opens one session per shard;
-/// the shard fields let the server verify both ends agree on the topology
-/// and route the session without a side channel.
+/// splits its set with shard_of_hash() and opens one session per shard.
+/// The server routes every frame by its session id alone (shard_of_session,
+/// `(sid - 1) mod shard_count`), so shard_index must equal that; the shard
+/// fields let the server verify both ends agree on the topology.
 inline constexpr std::uint8_t kFlagSharded = 0x01;
 
 /// HELLO flag bit: request the §6 count compression on the SYMBOLS stream.
@@ -725,7 +729,9 @@ class SyncEngine {
       }
       case v2::FrameType::kError: {
         // The client aborted its side (e.g. its decoder hit a data-path
-        // dead end); contain it to this session.
+        // dead end); contain it to this session. An ERROR for a session
+        // this engine does not hold is stale: that session already ended.
+        if (!sessions_.contains(frame.session_id)) return out;
         Session& session = established(frame.session_id);
         received(session, data.size());
         if (session.stats.state == SessionState::kActive) {

@@ -307,12 +307,10 @@ class Replica {
       if (pid == peer_id) owned.push_back(sid);
     }
     for (const std::uint64_t sid : owned) {
-      // Synthetic in-band abort, same pattern as the socket servers: the
-      // engine fails + the worker-equivalent below retires the session.
-      try {
-        (void)engine_->handle_frame(v2::make_error_frame(sid, "peer link down"));
-      } catch (const ProtocolError&) {
-      }
+      // Synthetic in-band abort, same pattern as the socket servers (a
+      // no-op if the engine already retired the session): the engine
+      // fails it, then the session retires here.
+      (void)engine_->handle_frame(v2::make_error_frame(sid, "peer link down"));
       (void)engine_->close_session(sid);
       serving_.erase(sid);
     }

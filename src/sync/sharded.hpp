@@ -11,12 +11,14 @@
 // so sharded reconciliation recovers the same diff as unsharded (the
 // cross-shard parity test pins this).
 //
-// Topology negotiation rides in HELLO: a sharded session's HELLO carries
-// (shard_index, shard_count) behind v2::kFlagSharded, the router routes it
-// to shard_index, and the shard engine rejects any topology mismatch
-// loudly (ProtocolError) before symbols flow. Non-HELLO frames route by the
-// session id the router recorded at HELLO time, read with
-// v2::peek_session_id (no payload copy on the router thread).
+// Routing is a function of the session id alone -- shard_of_session, which
+// ShardedClient's sub-session numbering inverts -- read with
+// v2::peek_session_id (no payload copy on the router thread), so the router
+// keeps no per-session state. A sharded HELLO still carries (shard_index,
+// shard_count) behind v2::kFlagSharded, and the router rejects it loudly
+// (ProtocolError) unless both agree with its sid and this server. Whatever
+// a shard engine rejects (unknown session, duplicate HELLO) its worker
+// answers in-band with an ERROR frame through the sink.
 //
 // Threaded serving: start() launches one worker per shard, each owning its
 // engine behind the shard mutex with an inbox of raw frames. A worker
@@ -49,7 +51,6 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,14 @@ namespace ribltx::sync {
     std::uint64_t hash, std::size_t shard_count) noexcept {
   return static_cast<std::size_t>(
       ((hash >> 32) * static_cast<std::uint64_t>(shard_count)) >> 32);
+}
+
+/// The session->shard map, and the one answer to "which shard serves
+/// session `session_id`?": the router routes every frame by it, and
+/// ShardedClient numbers its sub-sessions so that sub-session s maps to s.
+[[nodiscard]] constexpr std::size_t shard_of_session(
+    std::uint64_t session_id, std::size_t shard_count) noexcept {
+  return static_cast<std::size_t>((session_id - 1) % shard_count);
 }
 
 /// Cross-shard stats roll-up (per shard plus totals): loads of each shard
@@ -116,7 +125,7 @@ class ShardedEngine {
       for (const auto& sh : shards_) {
         links_.push_back(options.metrics->link(
             "riblt_shard_protocol_errors_total",
-            "Frames a shard worker dropped as unattributable", {},
+            "Frames a shard worker rejected or could not deliver", {},
             sh->protocol_errors));
       }
       obs_inbox_depth_ = &options.metrics->histogram(
@@ -190,43 +199,22 @@ class ShardedEngine {
   /// would (unattributable frames, topology mismatches).
   std::vector<std::vector<std::byte>> handle_frame(
       std::span<const std::byte> data) {
-    Shard& sh = *shards_[route(data)];
-    try {
-      const std::lock_guard<std::mutex> lk(sh.mu);
-      return sh.engine.handle_frame(data);
-    } catch (...) {
-      // A HELLO the shard engine rejected must not leave its freshly
-      // recorded route behind.
-      if (is_hello(data)) drop_route(v2::peek_session_id(data));
-      throw;
-    }
+    Shard& sh = route(data);
+    const std::lock_guard<std::mutex> lk(sh.mu);
+    return sh.engine.handle_frame(data);
   }
 
   /// Produces the next SYMBOLS frame for a session (synchronous path).
   std::optional<std::vector<std::byte>> next_frame(std::uint64_t session_id) {
-    const std::optional<std::size_t> k = route_of(session_id);
-    if (!k) return std::nullopt;
-    Shard& sh = *shards_[*k];
+    Shard& sh = shard_serving(session_id);
     const std::lock_guard<std::mutex> lk(sh.mu);
     return sh.engine.next_frame(session_id);
   }
 
   bool close_session(std::uint64_t session_id) {
-    const std::optional<std::size_t> k = route_of(session_id);
-    if (!k) return false;
-    Shard& sh = *shards_[*k];
-    bool erased = false;
-    {
-      const std::lock_guard<std::mutex> lk(sh.mu);
-      erased = sh.engine.close_session(session_id);
-    }
-    // Drop the route only when the engine actually held the session: if
-    // the HELLO is still queued in the shard inbox, erasing here would
-    // orphan the session the worker is about to open (unreachable by any
-    // route_of-gated API, streaming forever). Leaving the route intact
-    // keeps the session addressable so a later close_session lands.
-    if (erased) drop_route(session_id);
-    return erased;
+    Shard& sh = shard_serving(session_id);
+    const std::lock_guard<std::mutex> lk(sh.mu);
+    return sh.engine.close_session(session_id);
   }
 
   // ------------------------------------------------------ threaded path
@@ -265,10 +253,13 @@ class ShardedEngine {
   }
 
   /// Enqueues one raw client frame for its shard's worker. Thread-safe.
-  /// Unroutable frames (garbage prefix, unknown session, bad topology)
+  /// Unroutable frames (garbage prefix, a HELLO whose topology disagrees)
   /// throw ProtocolError to the caller, exactly like the synchronous path.
+  /// Whatever the shard engine then rejects (unknown session, duplicate
+  /// HELLO) the worker counts and answers in-band: the sink gets an ERROR
+  /// frame for that session id.
   void submit(std::vector<std::byte> frame) {
-    Shard& sh = *shards_[route(frame)];
+    Shard& sh = route(frame);
     {
       const std::lock_guard<std::mutex> lk(sh.mu);
       sh.inbox.push_back(std::move(frame));
@@ -316,52 +307,28 @@ class ShardedEngine {
     std::thread thread;
   };
 
-  [[nodiscard]] static bool is_hello(std::span<const std::byte> data) {
-    return !data.empty() &&
-           static_cast<std::uint8_t>(data[0]) ==
-               static_cast<std::uint8_t>(v2::FrameType::kHello);
+  [[nodiscard]] Shard& shard_serving(std::uint64_t session_id) const {
+    return *shards_[shard_of_session(session_id, shards_.size())];
   }
 
-  /// Shard for a frame: HELLOs parse their shard fields (and are recorded
-  /// sid->shard -- rejecting a sid that is already routed, so a duplicate
-  /// HELLO can never hijack a live session's route); everything else
-  /// routes by the recorded session. If the shard engine then rejects a
-  /// recorded HELLO, drop_route() must undo the recording.
-  [[nodiscard]] std::size_t route(std::span<const std::byte> data) {
-    if (data.empty()) throw ProtocolError("empty frame");
-    if (is_hello(data)) {
+  /// Shard for a frame: its session id's. A HELLO must also name that
+  /// shard and this server's shard count.
+  [[nodiscard]] Shard& route(std::span<const std::byte> data) const {
+    const std::uint64_t sid = v2::peek_session_id(data);
+    if (data[0] == static_cast<std::byte>(v2::FrameType::kHello)) {
       const v2::Frame hello = v2::parse_frame(data);
       if (hello.shard_count != shards_.size()) {
         throw ProtocolError("HELLO shard count does not match this server");
       }
-      const std::lock_guard<std::mutex> lk(routes_mu_);
-      const auto [it, inserted] =
-          routes_.emplace(hello.session_id, hello.shard_index);
-      if (!inserted) throw ProtocolError("duplicate HELLO for session");
-      return hello.shard_index;
+      if (hello.shard_index != shard_of_session(sid, shards_.size())) {
+        throw ProtocolError("HELLO shard index does not match its session id");
+      }
     }
-    const std::uint64_t sid = v2::peek_session_id(data);
-    const std::optional<std::size_t> k = route_of(sid);
-    if (!k) throw ProtocolError("unknown session id");
-    return *k;
-  }
-
-  void drop_route(std::uint64_t session_id) {
-    const std::lock_guard<std::mutex> lk(routes_mu_);
-    routes_.erase(session_id);
-  }
-
-  [[nodiscard]] std::optional<std::size_t> route_of(
-      std::uint64_t session_id) const {
-    const std::lock_guard<std::mutex> lk(routes_mu_);
-    const auto it = routes_.find(session_id);
-    if (it == routes_.end()) return std::nullopt;
-    return it->second;
+    return shard_serving(sid);
   }
 
   void worker(Shard& sh) {
     std::vector<std::vector<std::byte>> outgoing;
-    std::vector<std::uint64_t> retire;
     std::deque<std::vector<std::byte>> batch;
     bool streaming = false;
     for (;;) {
@@ -391,41 +358,34 @@ class ShardedEngine {
             for (auto& reply : sh.engine.handle_frame(frame)) {
               outgoing.push_back(std::move(reply));
             }
-          } catch (const ProtocolError&) {
-            // No transport to throw to on the worker: count and drop (the
-            // sync path surfaces the same error to the submitter) -- and a
-            // rejected HELLO must not keep its route recording.
+          } catch (const ProtocolError& e) {
+            // No caller to throw to on the worker: count the reject and
+            // tell the peer in-band what the sync path would have thrown
+            // (route() already parsed the session id). That ERROR ends the
+            // session for the peer and its transport, so it ends here too.
+            const std::uint64_t sid = v2::peek_session_id(frame);
             sh.protocol_errors.inc();
-            if (is_hello(frame)) {
-              try {
-                drop_route(v2::peek_session_id(frame));
-              } catch (const ProtocolError&) {
-                // unroutable garbage: nothing was recorded
-              }
-            }
+            (void)sh.engine.close_session(sid);
+            outgoing.push_back(v2::make_error_frame(sid, e.what()));
           }
         }
         // Reap sessions whose peers went silent past the idle deadline:
         // the engine fails + retires them and hands back ERROR frames, which
         // go to the sink like any reply so the (possibly half-dead) peer
-        // hears why its session died; the routes drop below with the rest.
-        retire.clear();
-        for (auto& [sid, frame] : sh.engine.reap_idle()) {
-          retire.push_back(sid);
-          outgoing.push_back(std::move(frame));
+        // hears why its session died.
+        for (auto& reaped : sh.engine.reap_idle()) {
+          outgoing.push_back(std::move(reaped.second));
         }
         // One frame per active session per round keeps sessions fair and
         // bounds how far the server runs ahead of in-flight DONEs.
         // Sessions that reached a terminal state retire immediately --
-        // close_session records their per-session histograms and their
-        // route entries are dropped, so a long-running
-        // server neither re-scans dead sessions every round nor runs
-        // into the max_sessions cap from sessions long finished.
+        // close_session records their per-session histograms, so a
+        // long-running server neither re-scans dead sessions every round
+        // nor runs into the max_sessions cap from sessions long finished.
         for (const std::uint64_t sid : sh.engine.session_ids()) {
           const SessionStats* stats = sh.engine.session(sid);
           if (stats != nullptr && stats->state != SessionState::kActive) {
             (void)sh.engine.close_session(sid);
-            retire.push_back(sid);
             continue;
           }
           if (auto frame = sh.engine.next_frame(sid)) {
@@ -434,12 +394,10 @@ class ShardedEngine {
         }
         streaming = !outgoing.empty();
       }
-      for (const std::uint64_t sid : retire) drop_route(sid);
       // Deliver outside the lock: a sink may block (backpressure) or call
       // submit() -- even into this shard -- without deadlocking. A sink
-      // that throws (e.g. it re-submits a reply whose session was retired
-      // moments earlier) is contained per frame and counted, not allowed
-      // to escape the thread entry point and terminate the process.
+      // that throws is contained per frame and counted, not allowed to
+      // escape the thread entry point and terminate the process.
       for (auto& frame : outgoing) {
         try {
           sink_(std::move(frame));
@@ -454,8 +412,6 @@ class ShardedEngine {
   Hasher hasher_;
   double reap_wait_s_ = 0;  ///< idle-worker wake interval (0 = wait forever)
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex routes_mu_;
-  std::unordered_map<std::uint64_t, std::size_t> routes_;  ///< sid -> shard
   Sink sink_;
   std::atomic<bool> running_{false};
   obs::Histogram* obs_inbox_depth_ = nullptr;  ///< null = untapped
@@ -466,7 +422,8 @@ class ShardedEngine {
 /// Client-side counterpart: splits one local set across K per-shard
 /// SyncClient sessions with the same consistent hash and merges the
 /// per-shard differences. Sub-session s of a client with base id B gets
-/// session id (B-1)*K + s + 1, so distinct bases never collide.
+/// session id (B-1)*K + s + 1, so distinct bases never collide and
+/// shard_of_session maps each sub-session to its shard.
 ///
 /// Thread-safety: handle_frame for different shards touches disjoint
 /// sub-clients, so the K shard workers of a ShardedEngine may call it
@@ -488,6 +445,10 @@ class ShardedClient {
     if (shard_count == 0 || shard_count > ShardedEngine<T>::kMaxShards) {
       throw std::invalid_argument("ShardedClient: shard count out of range");
     }
+    if (base_session_id > UINT64_MAX / shard_count) {
+      // B*K would wrap, and wrapped sub-session ids collide with low bases.
+      throw std::invalid_argument("ShardedClient: base session id too large");
+    }
     subs_.reserve(shard_count);
     terminal_ = std::make_unique<std::atomic<std::size_t>>(0);
     failures_ = std::make_unique<std::atomic<std::size_t>>(0);
@@ -504,6 +465,8 @@ class ShardedClient {
     return subs_.size();
   }
 
+  /// The inverse of shard_of_session: shard_of_session(sub_session_id(s),
+  /// shard_count()) == s.
   [[nodiscard]] std::uint64_t sub_session_id(std::size_t shard) const {
     return (base_ - 1) * shard_count_ + shard + 1;
   }
@@ -548,8 +511,7 @@ class ShardedClient {
     if (!owns(sid)) {
       throw ProtocolError("frame for a different sharded client");
     }
-    const std::size_t s =
-        static_cast<std::size_t>((sid - 1) % subs_.size());
+    const std::size_t s = shard_of_session(sid, subs_.size());
     SyncClient<T, Hasher>& sub = *subs_[s];
     auto out = sub.handle_frame(data);
     if (!counted_[s] && (sub.complete() || sub.failed())) {

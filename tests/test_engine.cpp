@@ -268,6 +268,11 @@ TEST(Engine, RejectsStateMachineViolations) {
   done.session_id = 99;
   EXPECT_THROW((void)engine.handle_frame(v2::encode_frame(done)),
                ProtocolError);
+  // An ERROR for a session the engine does not hold is stale (that session
+  // already ended): a no-op that leaves the live session alone.
+  CHECK(engine.handle_frame(v2::make_error_frame(99, "late abort")).empty());
+  REQUIRE(engine.session(7) != nullptr);
+  CHECK(engine.session(7)->state == SessionState::kActive);
   // Session id 0 is reserved.
   v2::Frame zero = done;
   zero.session_id = 0;

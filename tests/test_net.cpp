@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -338,6 +339,41 @@ SERVER_TEST(RouterRejectsAndFramingPoisonAreContained) {
     CHECK_EQ(frame.session_id, 7u);
   }
 
+  // A HELLO for a live session is refused without touching it, whether it
+  // comes from another connection (a hijack attempt) or repeats on its own.
+  {
+    sync::SyncClient<Item32> live(8, BackendId::kRiblt);
+    live.set_shard(1, 2);  // sid 8 belongs to shard (8 - 1) mod 2 = 1
+    const auto hello = live.hello();
+    SocketClient owner(server.port());
+    owner.send_frame(hello);
+    REQUIRE(owner.recv_frame(/*timeout_s=*/20.0).has_value());  // HELLO_ACK
+
+    SocketClient intruder(server.port());
+    intruder.send_frame(hello);
+    auto reply = intruder.recv_frame(/*timeout_s=*/20.0);
+    REQUIRE(reply.has_value());
+    auto frame = sync::v2::parse_frame(*reply);
+    CHECK(frame.type == sync::v2::FrameType::kError);
+    CHECK_EQ(sync::v2::error_text(frame),
+             std::string("session belongs to another connection"));
+
+    owner.send_frame(hello);
+    bool refused = false;
+    for (int i = 0; i < 100000 && !refused; ++i) {  // past streamed SYMBOLS
+      reply = owner.recv_frame(/*timeout_s=*/20.0);
+      REQUIRE(reply.has_value());
+      frame = sync::v2::parse_frame(*reply);
+      refused = frame.type == sync::v2::FrameType::kError;
+    }
+    REQUIRE(refused);
+    CHECK_EQ(frame.session_id, 8u);
+    CHECK_EQ(sync::v2::error_text(frame),
+             std::string("duplicate HELLO for session"));
+    CHECK_EQ(server.stats().routes, 1u);
+    CHECK_EQ(engine.stats().totals.active, 1u);
+  }  // the owner hangs up; its session is aborted
+
   // Garbage that defeats the routing prefix closes the connection...
   {
     SocketClient sock(server.port());
@@ -489,21 +525,104 @@ SERVER_TEST(IdleSessionReapedOverTcp) {
   }
   CHECK(got_error);
 
+  // The reaper's ERROR ends the reply route with the session.
   bool quiesced = false;
   for (int spin = 0; spin < 20000 && !quiesced; ++spin) {
     const sync::ShardedStats es = engine.stats();
-    quiesced = es.totals.sessions_reaped == 1 && es.totals.active == 0;
+    quiesced = es.totals.sessions_reaped == 1 && es.totals.active == 0 &&
+               server.stats().routes == 0;
     if (!quiesced) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   CHECK(quiesced);
   server.stop();
 }
 
+// A HELLO the shard worker rejects (here: the item size disagrees with the
+// engine's) is answered in-band with an ERROR for its session id, as the
+// synchronous path would throw, and that ERROR takes the reply route with
+// it. The server keeps serving healthy clients afterwards.
+SERVER_TEST(WorkerRejectReachesThePeer) {
+  const auto w = make_set_pair<Item32>(300, 10, 4, 105);
+  sync::ShardedEngine<Item32> engine(1);
+  for (const auto& x : w.a) engine.add_item(x);
+  Server<Item32> server(engine);
+  server.start();
+
+  sync::SyncClient<Item8> wrong_size(61, BackendId::kRiblt);
+  wrong_size.set_shard(0, 1);
+  SocketClient sock(server.port());
+  sock.send_frame(wrong_size.hello());
+  auto reply = sock.recv_frame(/*timeout_s=*/3.0);
+  REQUIRE(reply.has_value());
+  const auto frame = sync::v2::parse_frame(*reply);
+  CHECK(frame.type == sync::v2::FrameType::kError);
+  CHECK_EQ(frame.session_id, 61u);
+  CHECK_EQ(sync::v2::error_text(frame), std::string("item size mismatch"));
+
+  bool unrouted = false;
+  for (int spin = 0; spin < 5000 && !unrouted; ++spin) {
+    unrouted = server.stats().routes == 0;
+    if (!unrouted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  CHECK(unrouted);
+  CHECK_EQ(engine.stats().protocol_errors, 1u);
+  CHECK_EQ(engine.stats().totals.sessions, 0u);
+
+  sync::ShardedClient<Item32> healthy(62, 1, BackendId::kRiblt);
+  for (const auto& y : w.b) healthy.add_item(y);
+  REQUIRE(run_session(sock, healthy, /*timeout_s=*/60.0));
+  CHECK(key_set(healthy.diff().remote) == key_set(w.only_a));
+  server.stop();
+}
+
+// Only a HELLO creates a reply route. A ROUND or DONE for a session with no
+// route on its connection gets the in-band "unknown session id" ERROR
+// without reaching the engine; an ERROR for one is dropped, since there is
+// no session left to abort.
+SERVER_TEST(FramesWithoutARouteAreRejectedOrDropped) {
+  sync::ShardedEngine<Item8> engine(2);
+  Server<Item8> server(engine);
+  server.start();
+
+  SocketClient sock(server.port());
+  sock.send_frame(sync::v2::make_error_frame(71, "stale abort"));
+  for (const auto type : {sync::v2::FrameType::kRound,
+                          sync::v2::FrameType::kDone}) {
+    sync::v2::Frame orphan;
+    orphan.type = type;
+    orphan.session_id = 72;
+    sock.send_frame(sync::v2::encode_frame(orphan));
+    auto reply = sock.recv_frame(/*timeout_s=*/20.0);
+    REQUIRE(reply.has_value());
+    const auto frame = sync::v2::parse_frame(*reply);
+    CHECK(frame.type == sync::v2::FrameType::kError);
+    CHECK_EQ(frame.session_id, 72u);
+    CHECK_EQ(sync::v2::error_text(frame), std::string("unknown session id"));
+  }
+  CHECK(!sock.recv_frame(/*timeout_s=*/0.3).has_value());  // no third reply
+  server.stop();
+  CHECK_EQ(server.stats().protocol_errors, 2u);
+  CHECK_EQ(server.stats().routes, 0u);
+  CHECK_EQ(engine.stats().protocol_errors, 0u);  // nothing was submitted
+}
+
+// A sink that may block forever would let one stalled peer wedge its
+// shard, so a non-positive sink timeout is refused at construction.
+SERVER_TEST(NonPositiveSinkTimeoutIsRejected) {
+  sync::ShardedEngine<Item8> engine(1);
+  for (const double timeout : {0.0, -1.0}) {
+    SocketServerOptions options;
+    options.sink_timeout_s = timeout;
+    EXPECT_THROW((void)Server<Item8>(engine, options), std::invalid_argument);
+  }
+  CHECK_EQ(SocketServerOptions{}.sink_timeout_s, 10.0);
+}
+
 // A peer that stops reading entirely (socket open, zero progress) would
-// park its shard's worker on the blocking sink forever -- and with it
-// every other session on that shard. With sink_timeout_s set the
-// connection is doomed and closed instead, and the freed shard serves the
-// next client to the exact diff.
+// park its shard's worker on the blocking sink -- and with it every other
+// session on that shard. Once sink_timeout_s passes the connection is
+// doomed and closed instead, and the freed shard serves the next client to
+// the exact diff.
 SERVER_TEST(StalledPeerDoomedBySinkTimeout) {
   const auto w = make_set_pair<Item32>(500, 20, 8, 103);
   sync::ShardedEngine<Item32> engine(1);

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -193,11 +195,73 @@ TEST(Sharded, HelloTopologyMismatchesAreRejected) {
   EXPECT_THROW((void)engine.handle_frame(v2::encode_frame(round)),
                ProtocolError);
 
+  // A shard index that disagrees with the session id's shard: the router
+  // rejects it, on both paths, before any shard engine opens a session.
+  SyncClient<Item32> misrouted(5, BackendId::kRiblt);
+  misrouted.set_shard(1, 4);  // sid 5 belongs to shard (5 - 1) mod 4 = 0
+  const auto misrouted_hello = misrouted.hello();
+  EXPECT_THROW((void)engine.handle_frame(misrouted_hello), ProtocolError);
+  EXPECT_THROW(engine.submit(misrouted_hello), ProtocolError);
+  CHECK_EQ(engine.stats().totals.sessions, 0u);
+
   // A correct HELLO still opens (index within count, matching topology).
   SyncClient<Item32> ok(4, BackendId::kRiblt);
   ok.set_shard(3, 4);
   const auto replies = engine.handle_frame(ok.hello());
   REQUIRE_EQ(replies.size(), 1u);
+  CHECK_EQ(engine.stats().shards[3].totals.sessions, 1u);
+}
+
+// The session-id arithmetic both ends share: over random bases and shard
+// counts, every sub-session id maps back to its shard through
+// shard_of_session, the synchronous router opens it on that shard, and a
+// base whose sub-session ids would wrap past 2^64 is refused.
+TEST(Sharded, SubSessionIdsRouteToTheirShards) {
+  using testing::for_all;
+  constexpr std::size_t kMax = ShardedEngine<Item32>::kMaxShards;
+  for_all("sub-session s of any valid base opens on shard s", 40, 1501,
+          [](SplitMix64& rng) {
+    // Small shard counts most of the time, the full range now and then.
+    const std::size_t shards =
+        rng.next() % 4 == 0 ? 1 + rng.next() % kMax : 1 + rng.next() % 8;
+    const std::uint64_t limit = UINT64_MAX / shards;
+    const std::uint64_t picks[] = {1, limit, 1 + rng.next() % limit};
+    const std::uint64_t base = picks[rng.next() % 3];
+    ShardedClient<Item32> client(base, shards, BackendId::kRiblt);
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::uint64_t sid = client.sub_session_id(s);
+      if (shard_of_session(sid, shards) != s || !client.owns(sid)) {
+        return false;
+      }
+    }
+    if (client.owns(client.sub_session_id(0) - 1) ||
+        (base < limit && client.owns(client.sub_session_id(shards - 1) + 1))) {
+      return false;
+    }
+    if (shards > 1) {
+      try {
+        const std::uint64_t over = limit + 1 + rng.next() % (UINT64_MAX - limit);
+        ShardedClient<Item32> wrapped(over, shards, BackendId::kRiblt);
+        return false;
+      } catch (const std::invalid_argument&) {
+      }
+    }
+    // Open a few sub-sessions through the synchronous router: each lands
+    // on the shard its index names.
+    ShardedEngine<Item32> engine(shards);
+    auto hellos = client.hellos();
+    for (int i = 0; i < 3; ++i) {
+      const std::size_t s = rng.next() % shards;
+      if (engine.stats().shards[s].totals.sessions != 0) continue;
+      (void)engine.handle_frame(hellos[s]);
+      if (engine.stats().shards[s].totals.sessions != 1) return false;
+    }
+    return engine.stats().totals.sessions <= 3;
+  });
+  // Unchecked, base 2^63 + 1 over 2 shards would wrap to sub-session ids 1
+  // and 2 -- base 1's.
+  EXPECT_THROW(ShardedClient<Item32>((1ull << 63) + 1, 2, BackendId::kRiblt),
+               std::invalid_argument);
 }
 
 // Threaded smoke: real worker threads, several sharded clients, frames
@@ -256,6 +320,52 @@ TEST(Sharded, ThreadedServingReconcilesManyClients) {
   const ShardedStats stats = engine.stats();
   CHECK_EQ(stats.totals.done, kShards * kClients);
   CHECK_EQ(stats.protocol_errors, 0u);
+}
+
+// A frame the shard worker rejects is answered in-band, and the ERROR ends
+// the session on the engine side too: a truncated ROUND for a live
+// rateless session fails it (the worker stops streaming) and the sink gets
+// an ERROR for its session id, where the synchronous path would throw.
+TEST(Sharded, WorkerRejectEndsTheSession) {
+  ShardedEngine<Item32> engine(1);
+  for (std::uint64_t i = 0; i < 50; ++i) engine.add_item(Item32::random(i));
+  std::mutex mu;
+  std::vector<v2::Frame> errors;
+  engine.start([&](std::vector<std::byte> frame) {
+    const v2::Frame parsed = v2::parse_frame(frame);
+    if (parsed.type != v2::FrameType::kError) return;
+    const std::lock_guard<std::mutex> lk(mu);
+    errors.push_back(parsed);
+  });
+  SyncClient<Item32> client(3, BackendId::kRiblt);
+  client.set_shard(0, 1);
+  engine.submit(client.hello());
+  v2::Frame round;
+  round.type = v2::FrameType::kRound;
+  round.session_id = 3;
+  round.payload.assign(4, std::byte{0x01});
+  auto truncated = v2::encode_frame(round);
+  truncated.pop_back();
+  EXPECT_THROW((void)engine.handle_frame(truncated), ProtocolError);
+  engine.submit(std::move(truncated));
+
+  bool answered = false;
+  for (int spin = 0; spin < 5000 && !answered; ++spin) {
+    {
+      const std::lock_guard<std::mutex> lk(mu);
+      answered = !errors.empty();
+    }
+    if (!answered) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  engine.stop();
+  REQUIRE(answered);
+  CHECK_EQ(errors.size(), 1u);
+  CHECK_EQ(errors[0].session_id, 3u);
+  const ShardedStats stats = engine.stats();
+  CHECK_EQ(stats.protocol_errors, 1u);
+  CHECK_EQ(stats.totals.sessions, 1u);
+  CHECK_EQ(stats.totals.failed, 1u);
+  CHECK_EQ(stats.totals.active, 0u);
 }
 
 // ISSUE 7 tentpole: churn bypasses the shard mutex. Writer threads hammer
